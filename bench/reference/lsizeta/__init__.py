@@ -1,0 +1,104 @@
+"""Exact log-sine integral algebra at pi/3 and zeta relation discovery.
+
+The package expresses multiple zeta values as exact Q(i)-linear combinations
+of iterated log-sine integral monomials at pi/3, mines the vanishing
+imaginary parts for linear relations among the monomials, and row-reduces the
+resulting rational matrices to recover closed forms, explicit Q-linear zeta
+relations and the rank bound l_w on the dimension of each weight class.  A
+floating-point oracle verifies every symbolic layer independently.
+"""
+
+from .algebra import (
+    LsiExpr,
+    LsiMonomial,
+    canonicalize,
+    conjugate,
+    imag_part,
+    multiply,
+    real_part,
+    reduce_at,
+    shuffle,
+)
+from .gaussian import GaussianRational, Rational
+from .indices import Index, dedupe_by_duality, dual, enumerate_admissible, truncate
+from .oracle import (
+    NumericConfig,
+    bernoulli_number,
+    check_ccs_identity,
+    eval_A,
+    eval_expr,
+    eval_ls,
+    eval_mzv,
+    euler_even_zeta,
+)
+from .polylog import (
+    PolylogExpansion,
+    li_expand,
+    mgl_value,
+    polylog_expansion,
+    weight1_proposition_expr,
+    zeta_expr,
+)
+from .relations import (
+    MonomialBasis,
+    MzvRelation,
+    RationalMatrix,
+    build_basis,
+    compute_lk,
+    im_matrix,
+    inject_cr_relation,
+    ls_relations_for,
+    mzv_relations,
+    re_matrix,
+    reduce_mzv_matrix,
+    reduce_real_expr,
+    rref,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "GaussianRational",
+    "Index",
+    "LsiExpr",
+    "LsiMonomial",
+    "MonomialBasis",
+    "MzvRelation",
+    "NumericConfig",
+    "PolylogExpansion",
+    "Rational",
+    "RationalMatrix",
+    "bernoulli_number",
+    "build_basis",
+    "canonicalize",
+    "check_ccs_identity",
+    "compute_lk",
+    "conjugate",
+    "dedupe_by_duality",
+    "dual",
+    "enumerate_admissible",
+    "eval_A",
+    "eval_expr",
+    "eval_ls",
+    "eval_mzv",
+    "euler_even_zeta",
+    "im_matrix",
+    "imag_part",
+    "inject_cr_relation",
+    "li_expand",
+    "ls_relations_for",
+    "mgl_value",
+    "multiply",
+    "mzv_relations",
+    "polylog_expansion",
+    "re_matrix",
+    "real_part",
+    "reduce_at",
+    "reduce_mzv_matrix",
+    "reduce_real_expr",
+    "rref",
+    "shuffle",
+    "truncate",
+    "weight1_proposition_expr",
+    "zeta_expr",
+]

@@ -1,0 +1,165 @@
+"""Index combinatorics for multiple zeta values.
+
+An index is a composition of positive integers ``(k_1, ..., k_n)``; the empty
+index (written ``phi``) is allowed.  The weight is the sum of the parts, the
+depth the number of parts, and an index is admissible when it is nonempty and
+its last part is at least 2 (so that the nested zeta series converges).
+
+This module provides the dual involution on admissible indices, the stepwise
+truncation sequence ``k^(0), k^(1), ..., k^(|k|) = phi``, enumeration of all
+admissible indices of a given weight, and deduplication of a list of indices
+by the dual pairing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True, slots=True)
+class Index:
+    """A composition of positive integers; ``Index()`` is the empty index."""
+
+    parts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
+            raise ValueError(f"index parts must be positive integers: {self.parts}")
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def depth(self) -> int:
+        return len(self.parts)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.parts
+
+    @property
+    def admissible(self) -> bool:
+        return bool(self.parts) and self.parts[-1] >= 2
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __str__(self) -> str:
+        return ",".join(str(p) for p in self.parts) if self.parts else "phi"
+
+    @classmethod
+    def parse(cls, text: str) -> "Index":
+        """Parse a comma-separated index literal, e.g. ``"1,3"``; "phi" or "" is empty."""
+        text = text.strip()
+        if text in ("", "phi"):
+            return cls()
+        try:
+            parts = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f"malformed index string: {text!r}") from None
+        return cls(parts)
+
+    def to_json(self) -> list[int]:
+        return list(self.parts)
+
+    @classmethod
+    def from_json(cls, data) -> "Index":
+        return cls(tuple(int(p) for p in data))
+
+
+PHI = Index()
+
+
+def _block_decomposition(k: Index) -> list[tuple[int, int]]:
+    # Write k as ({1}^{a_1-1}, b_1+1, ..., {1}^{a_h-1}, b_h+1) and return
+    # the list [(a_1, b_1), ..., (a_h, b_h)].  Requires an admissible index.
+    blocks = []
+    ones = 0
+    for p in k.parts:
+        if p == 1:
+            ones += 1
+        else:
+            blocks.append((ones + 1, p - 1))
+            ones = 0
+    if ones:
+        raise ValueError("dual undefined for non-admissible index")
+    return blocks
+
+
+def dual(k: Index) -> Index:
+    """Dual index of an admissible index; an involution preserving weight."""
+    if not k.admissible:
+        raise ValueError("dual undefined for non-admissible index")
+    parts: list[int] = []
+    for a, b in reversed(_block_decomposition(k)):
+        parts.extend([1] * (b - 1))
+        parts.append(a + 1)
+    return Index(tuple(parts))
+
+
+def truncate(k: Index, m: int) -> Index:
+    """m-fold truncation ``k^(m)``.
+
+    One step removes 1 from the weight: decrement the last part if it exceeds
+    1, otherwise drop it.  ``k^(|k|)`` is the empty index; truncating past it
+    is an error.
+    """
+    if m < 0:
+        raise ValueError("truncation count must be nonnegative")
+    if m > k.weight:
+        raise ValueError("truncation past empty index")
+    parts = list(k.parts)
+    for _ in range(m):
+        if parts[-1] > 1:
+            parts[-1] -= 1
+        else:
+            parts.pop()
+    return Index(tuple(parts))
+
+
+def enumerate_admissible(w: int) -> list[Index]:
+    """All 2^(w-2) admissible indices of weight ``w``, depth-major order.
+
+    Ordered by increasing depth, then lexicographically on the parts.  With
+    this order the first element of each dual pair is the lower-depth member
+    (the representative used in the relation matrices), and ties at depth
+    w/2 resolve to the lexicographically smaller index.
+    """
+    if w < 2:
+        raise ValueError("admissible indices need weight >= 2")
+    out: list[Index] = []
+
+    def extend(prefix: list[int], remaining: int):
+        if remaining >= 2:
+            out.append(Index(tuple(prefix + [remaining])))
+        for first in range(1, remaining - 1):
+            extend(prefix + [first], remaining - first)
+
+    extend([], w)
+    out.sort(key=lambda k: (k.depth, k.parts))
+    return out
+
+
+def dedupe_by_duality(indices: list[Index], drop_self_dual: bool = False) -> list[Index]:
+    """One representative per dual pair, keeping the first seen in input order.
+
+    With ``drop_self_dual`` set, indices equal to their own dual are removed
+    entirely (their zeta values contribute nothing to the imaginary-part
+    relation rows).
+    """
+    seen: set[Index] = set()
+    out: list[Index] = []
+    for k in indices:
+        if k in seen:
+            continue
+        kd = dual(k)
+        seen.add(k)
+        seen.add(kd)
+        if k == kd and drop_self_dual:
+            continue
+        out.append(k)
+    return out

@@ -1,0 +1,142 @@
+"""JSON and LaTeX emitters for expressions, bases, matrices and relations.
+
+The JSON expression format is
+
+    {"terms": [{"pi": m, "k": [...], "l": [...], "re": "p/q", "im": "p/q"}, ...]}
+
+with rationals as exact ``p/q`` strings and terms in the canonical monomial
+order, so serialization is byte-stable and round-trips exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .algebra import LsiExpr, LsiMonomial
+from .gaussian import GaussianRational
+from .indices import Index
+from .relations import MonomialBasis, MzvRelation, RationalMatrix
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+def expr_to_json(e: LsiExpr) -> dict:
+    return {"terms": [{"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls),
+                       "re": str(c.re), "im": str(c.im)}
+                      for m, c in e.terms()]}
+
+
+def expr_from_json(data: dict) -> LsiExpr:
+    terms = {}
+    for t in data["terms"]:
+        m = LsiMonomial(int(t["pi"]), tuple(t["k"]), tuple(t["l"]))
+        terms[m] = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
+    return LsiExpr(terms)
+
+
+def basis_to_json(b: MonomialBasis) -> dict:
+    return {"weight": b.weight, "parity": b.parity,
+            "monomials": [{"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls)}
+                          for m in b.monomials]}
+
+
+def matrix_to_json(m: RationalMatrix) -> dict:
+    def label(x):
+        if isinstance(x, Index):
+            return x.to_json()
+        if isinstance(x, LsiMonomial):
+            return {"pi": x.pi_pow, "k": list(x.ks), "l": list(x.ls)}
+        return x
+
+    return {"rows": [[str(v) for v in row] for row in m.rows],
+            "row_labels": [label(x) for x in m.row_labels],
+            "col_labels": [label(x) for x in m.col_labels]}
+
+
+def relation_to_json(r: MzvRelation) -> dict:
+    return {"relation": [{"index": k.to_json(), "coeff": str(c)}
+                         for k, c in r.coefficients]}
+
+
+# ---------------------------------------------------------------------------
+# LaTeX
+
+def rational_latex(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+def _coeff_latex(c: GaussianRational) -> str:
+    if not c.im:
+        return rational_latex(c.re)
+    if not c.re:
+        mag = rational_latex(c.im)
+        if mag == "1":
+            return "i"
+        if mag == "-1":
+            return "-i"
+        return f"{mag} i"
+    sign = "-" if c.im < 0 else "+"
+    return f"\\left({rational_latex(c.re)} {sign} {rational_latex(abs(c.im))} i\\right)"
+
+
+def monomial_latex(m: LsiMonomial) -> str:
+    parts = []
+    if m.pi_pow == 1:
+        parts.append("\\pi")
+    elif m.pi_pow > 1:
+        parts.append(f"\\pi^{{{m.pi_pow}}}")
+    if m.ks:
+        k = ",".join(map(str, m.ks))
+        l = ",".join(map(str, m.ls))
+        parts.append(f"\\mathrm{{Ls}}_{{{k}}}^{{({l})}}\\left(\\tfrac{{\\pi}}{{3}}\\right)")
+    return " ".join(parts) if parts else "1"
+
+
+def expr_latex(e: LsiExpr) -> str:
+    if not e:
+        return "0"
+    chunks = []
+    for m, c in e.terms():
+        coeff = _coeff_latex(c)
+        mono = monomial_latex(m)
+        if mono == "1":
+            term = coeff
+        elif coeff == "1":
+            term = mono
+        elif coeff == "-1":
+            term = f"-{mono}"
+        else:
+            term = f"{coeff} {mono}"
+        if chunks and not term.startswith("-"):
+            chunks.append("+")
+        chunks.append(term)
+    return " ".join(chunks)
+
+
+def index_latex(k: Index) -> str:
+    return "\\zeta\\left(" + ", ".join(map(str, k.parts)) + "\\right)"
+
+
+def matrix_latex(m: RationalMatrix) -> str:
+    body = " \\\\\n".join(" & ".join(rational_latex(v) for v in row) for row in m.rows)
+    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+
+
+def relation_latex(r: MzvRelation) -> str:
+    chunks = []
+    for k, c in r.coefficients:
+        coeff = rational_latex(c)
+        if coeff == "1":
+            term = index_latex(k)
+        elif coeff == "-1":
+            term = f"-{index_latex(k)}"
+        else:
+            term = f"{coeff} {index_latex(k)}"
+        if chunks and not term.startswith("-"):
+            chunks.append("+")
+        chunks.append(term)
+    return " ".join(chunks) + " = 0"
