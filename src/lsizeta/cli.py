@@ -16,9 +16,18 @@ Commands mirror the library operations one-to-one:
 Index literals are comma-separated positive integers (``1,3``); monomial
 literals are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``).
 Output format is selected with ``--format {text,json,latex}``.  Weights of 8
-and above are long-running; progress goes to stderr, results to stdout.  If
-``LSI_CACHE_DIR`` is set, the polylogarithm expansion cache persists there
-between runs.
+and above are long-running; progress goes to stderr, results to stdout.
+
+If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
+runs in ``$LSI_CACHE_DIR/li_cache.json`` (layout in ``lsizeta.polylog``).  A
+command reads the file only when it needs an expansion it has not computed,
+and decodes only the entries it needs, so ``dual``, ``trunc``, ``shuffle``,
+``reduce`` and ``basis`` never open it.  After printing its result a command
+rewrites the file only if it computed expansions the file lacked, creating
+the directory then.  A rejected file or entry (unparsable, another format, a
+failed checksum or weight check) costs one line on stderr and is
+recomputed; stdout is the same as without the cache.  An ``LSI_CACHE_DIR``
+that exists but is not a directory is a JSON error with exit 2.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .algebra import LsiExpr, LsiMonomial, canonicalize, reduce_at, shuffle
 from .gaussian import GaussianRational
 from .indices import Index, dual, enumerate_admissible, truncate
 from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
-from .polylog import li_expand, load_li_cache, save_li_cache, zeta_expr
+from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
 from .relations import build_basis, compute_lk, ls_relations_for, mzv_relations
 
 
@@ -299,7 +308,8 @@ def _cache_file() -> str | None:
     cache_dir = os.environ.get("LSI_CACHE_DIR")
     if not cache_dir:
         return None
-    os.makedirs(cache_dir, exist_ok=True)
+    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise ValueError(f"LSI_CACHE_DIR is not a directory: {cache_dir}")
     return os.path.join(cache_dir, "li_cache.json")
 
 
@@ -310,15 +320,11 @@ def main(argv: list[str] | None = None) -> int:
                     use_cr_relations=args.use_cr)
     try:
         cfg.validate()
+        cache = _cache_file()
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    cache = _cache_file()
-    if cache and os.path.exists(cache):
-        try:
-            load_li_cache(cache)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"ignoring unreadable cache: {exc}", file=sys.stderr)
+    use_li_cache(cache)
     try:
         out = args.func(args, cfg)
     except CliError as exc:

@@ -21,11 +21,32 @@ truncations of the dual index, a rewriting of the known duality for
 polylogarithms at the sixth root of unity into a statement about zeta values.
 Both functions memoize aggressively: a weight class of zeta expressions reuses
 the same truncated expansions over and over.
+
+The li_expand memo can persist in one JSON file (the CLI uses
+``$LSI_CACHE_DIR/li_cache.json``), laid out as
+
+    {"format": 2, "entries": {"<index>": {"sha256": "<hex>", "expr": "<text>"}}}
+
+where ``<index>`` is the index as ``str(Index)`` prints it (``"2,3"``,
+``"phi"``), ``<text>`` is the compact JSON of ``serialize.expr_to_json`` and
+the digest is SHA-256 over ``<index>``, a newline and ``<text>``.
+``use_li_cache`` only records the path.  The file is read the first time
+``li_expand`` misses its memo, and then only its outer map is parsed; an
+entry is decoded when its index is first asked for.  A decoded entry must
+match its digest and have every monomial of its index's weight.  A file
+that cannot be parsed or has another format, and every entry that fails a
+check, cost one stderr line and are recomputed, so results never change.
+``save_li_cache`` rewrites the file, atomically, only when the memo holds
+expansions the file lacks; the digest catches corruption and hand edits, not
+an edit that also rewrites the digest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +58,7 @@ from .indices import Index, dual, truncate
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
-_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -130,7 +151,9 @@ def li_expand(k: Index) -> LsiExpr:
         with _LOCK:
             e = _LI_CACHE.get(k)
             if e is None:
-                e = _li_expand_uncached(k)
+                e = _from_disk(k)
+                if e is None:
+                    e = _li_expand_uncached(k)
                 _LI_CACHE[k] = e
     return e
 
@@ -189,33 +212,156 @@ def weight1_proposition_expr(a: int, b: int) -> LsiExpr:
 
 
 # ---------------------------------------------------------------------------
-# optional on-disk persistence of the expansion cache (used by the CLI via
-# the LSI_CACHE_DIR environment variable)
+# on-disk persistence of the expansion memo (the CLI points it at
+# $LSI_CACHE_DIR/li_cache.json)
 
-def save_li_cache(path: str) -> int:
-    """Write the memoized expansions to ``path`` as JSON; returns the count."""
-    from .serialize import expr_to_json
+CACHE_FORMAT = 2
+_CACHE_PATH: str | None = None
+# The outer map of the file at _CACHE_PATH once li_expand has needed it:
+# index string -> {"sha256": ..., "expr": compact expr_to_json text}.  An
+# entry stays text until li_expand asks for its index.
+_DISK: dict[str, dict] | None = None
 
+
+def use_li_cache(path: str | None) -> None:
+    """Make ``path`` the cache file ``li_expand`` reads on a memo miss.
+
+    Nothing is read here: the file is opened on the first miss, so work that
+    needs no expansion never reads it.  ``None`` detaches the file.
+    """
+    global _CACHE_PATH, _DISK
     with _LOCK:
-        payload = {str(k): expr_to_json(e) for k, e in _LI_CACHE.items()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    return len(payload)
+        if path != _CACHE_PATH:
+            _CACHE_PATH, _DISK = path, None
+
+
+def _entry_digest(key: str, text: str) -> str:
+    import hashlib  # loads libcrypto, about 4 MB of RSS: only cache users pay it
+
+    return hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
+
+
+def _reject(path: str, reason, key: str | None = None) -> None:
+    what = "expansion cache" if key is None else f"entry {key!r} of expansion cache"
+    print(f"ignoring {what} {path}: {reason}", file=sys.stderr)
+
+
+def _read_entries(path: str) -> dict[str, dict]:
+    """The entry map of a format-2 cache file; {} for a missing or rejected file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        _reject(path, exc)
+        return {}
+    if not (isinstance(payload, dict) and payload.get("format") == CACHE_FORMAT
+            and isinstance(payload.get("entries"), dict)):
+        _reject(path, f"not a format-{CACHE_FORMAT} cache")
+        return {}
+    entries = payload["entries"]
+    for key in list(entries):
+        try:
+            canonical = str(Index.parse(key)) == key
+        except ValueError:
+            canonical = False
+        if not canonical:
+            _reject(path, "the key is not an index", key)
+            del entries[key]
+    return entries
+
+
+def _decode_entry(key: str, entry, weight: int) -> LsiExpr:
+    from .serialize import expr_from_json
+
+    text = entry.get("expr") if isinstance(entry, dict) else None
+    if not isinstance(text, str):
+        raise ValueError("not a {sha256, expr} pair")
+    if entry.get("sha256") != _entry_digest(key, text):
+        raise ValueError("checksum mismatch")
+    e = expr_from_json(json.loads(text))
+    if any(m.weight != weight for m in e.monomials()):
+        raise ValueError(f"a monomial is not of weight {weight}")
+    return e
+
+
+def _from_disk(k: Index) -> LsiExpr | None:
+    """The expansion of ``k`` stored in the cache file, or None; call with _LOCK held."""
+    if _CACHE_PATH is None:
+        return None
+    if _DISK is None:
+        load_li_cache(_CACHE_PATH)
+    key = str(k)
+    entry = _DISK.get(key)
+    if entry is None:
+        return None
+    try:
+        return _decode_entry(key, entry, k.weight)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
+        _reject(_CACHE_PATH, exc, key)
+        del _DISK[key]  # the recomputed expansion replaces it at the next save
+        return None
 
 
 def load_li_cache(path: str) -> int:
-    """Merge expansions previously saved with ``save_li_cache``."""
-    from .serialize import expr_from_json
+    """Parse the outer map of the cache file at ``path`` and make it the file
+    ``li_expand`` reads; returns its entry count.
 
-    with open(path) as fh:
-        payload = json.load(fh)
-    loaded = {Index.parse(key): expr_from_json(data) for key, data in payload.items()}
+    Entries are decoded and checked one at a time, when ``li_expand`` first
+    asks for their index.  A missing file counts as empty; an unreadable file,
+    or one of another format, costs one stderr line and counts as empty.
+    """
+    global _CACHE_PATH, _DISK
+    entries = _read_entries(path)
     with _LOCK:
-        _LI_CACHE.update(loaded)
-    return len(loaded)
+        _CACHE_PATH, _DISK = path, entries
+    return len(entries)
+
+
+def save_li_cache(path: str) -> int:
+    """Add the memoized expansions that the cache file at ``path`` lacks;
+    returns how many were added.
+
+    The file is left alone when it lacks none.  Otherwise it is rewritten
+    through a temporary file and ``os.replace``, creating its directory if
+    needed; entries it already held are copied back as their stored text.
+    """
+    from .serialize import expr_to_json
+
+    global _DISK
+    with _LOCK:
+        if not _LI_CACHE:
+            return 0
+        if path != _CACHE_PATH or _DISK is None:
+            load_li_cache(path)
+        added = {}
+        for k, e in _LI_CACHE.items():
+            key = str(k)
+            if key not in _DISK:
+                text = json.dumps(expr_to_json(e), separators=(",", ":"))
+                added[key] = {"sha256": _entry_digest(key, text), "expr": text}
+        if not added:
+            return 0
+        entries = {**_DISK, **added}
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        _DISK = entries
+    return len(added)
 
 
 def clear_caches() -> None:
+    """Empty the memos and forget the cache file and its parsed entries."""
+    global _CACHE_PATH, _DISK
     with _LOCK:
         _LI_CACHE.clear()
         _ZETA_CACHE.clear()
+        _CACHE_PATH = _DISK = None

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from lsizeta import polylog
 from lsizeta.cli import main
-from lsizeta.serialize import expr_from_json
+from lsizeta.indices import Index
+from lsizeta.serialize import expr_from_json, expr_to_json
 
 
 def run(capsys, *argv):
@@ -98,14 +102,77 @@ class TestErrors:
         assert code == 1
 
 
+def _cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("LSI_CACHE_DIR", str(tmp_path))
+    return tmp_path / "li_cache.json"
+
+
+@pytest.mark.usefixtures("fresh_caches")
 class TestCacheEnv:
     def test_cache_persists(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LSI_CACHE_DIR", str(tmp_path))
+        path = _cache(tmp_path, monkeypatch)
         code, out1, _ = run(capsys, "li", "2,3", "--format", "json")
         assert code == 0
-        assert (tmp_path / "li_cache.json").exists()
-        code, out2, _ = run(capsys, "li", "2,3", "--format", "json")
-        assert code == 0 and out1 == out2
+        assert path.exists()
+        polylog.clear_caches()
+
+        def recompute(k):
+            raise AssertionError(f"expanded {k} instead of reading it from disk")
+
+        monkeypatch.setattr(polylog, "_li_expand_uncached", recompute)
+        code, out2, err = run(capsys, "li", "2,3", "--format", "json")
+        assert code == 0 and out1 == out2 and err == ""
+
+    def test_malformed_cache_is_rejected(self, capsys, tmp_path, monkeypatch):
+        path = _cache(tmp_path, monkeypatch)
+        path.write_text('{"2,3": {"terms": 5}}')
+        code, out, err = run(capsys, "dual", "3,2")
+        assert (code, out, err) == (0, "2,1,2", "")  # needs no expansion: file unread
+        code, out, err = run(capsys, "li", "2,3", "--format", "json")
+        assert code == 0
+        assert expr_from_json(json.loads(out)) == polylog._li_expand_uncached(Index((2, 3)))
+        assert err.splitlines() == [
+            f"ignoring expansion cache {path}: not a format-2 cache"]
+
+    def test_poisoned_entry_is_rejected(self, capsys, tmp_path, monkeypatch):
+        path = _cache(tmp_path, monkeypatch)
+        code, out, _ = run(capsys, "zeta", "2")
+        assert code == 0 and out == "(1/6)*pi^2"
+        data = json.loads(path.read_text())
+        entry = data["entries"]["2"]
+        expr = json.loads(entry["expr"])
+        for term in expr["terms"]:
+            if term["pi"] == 2:
+                term["re"] = "1/7"
+        entry["expr"] = json.dumps(expr, separators=(",", ":"))
+        path.write_text(json.dumps(data))
+        polylog.clear_caches()
+        code, out, err = run(capsys, "zeta", "2")
+        assert code == 0 and out == "(1/6)*pi^2"
+        assert err.splitlines() == [
+            f"ignoring entry '2' of expansion cache {path}: checksum mismatch"]
+
+    def test_unversioned_cache_is_rewritten(self, capsys, tmp_path, monkeypatch):
+        path = _cache(tmp_path, monkeypatch)
+        two = polylog._li_expand_uncached(Index((2,)))
+        path.write_text(json.dumps({"2": expr_to_json(two)}))
+        code, out, err = run(capsys, "zeta", "2")
+        assert code == 0 and out == "(1/6)*pi^2"
+        assert err.splitlines() == [
+            f"ignoring expansion cache {path}: not a format-2 cache"]
+        data = json.loads(path.read_text())
+        assert data["format"] == 2 and "2" in data["entries"]
+        polylog.clear_caches()
+        assert polylog.load_li_cache(str(path)) == len(data["entries"])
+        assert polylog.li_expand(Index((2,))) == two
+
+    def test_cache_dir_that_is_a_file(self, capsys, tmp_path, monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("LSI_CACHE_DIR", str(not_a_dir))
+        code, out, err = run(capsys, "dual", "3,2")
+        assert code == 2 and out == ""
+        assert "not a directory" in json.loads(err.splitlines()[-1])["error"]
 
 
 class TestParallel:

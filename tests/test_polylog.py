@@ -1,21 +1,26 @@
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from lsizeta import polylog
 from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, real_part
 from lsizeta.gaussian import GaussianRational
 from lsizeta.indices import Index, dual, enumerate_admissible
 from lsizeta.polylog import (
     PolylogExpansion,
+    clear_caches,
     li_expand,
     load_li_cache,
     mgl_value,
     polylog_expansion,
     save_li_cache,
+    use_li_cache,
     weight1_proposition_expr,
     zeta_expr,
 )
+from lsizeta.serialize import expr_to_json
 
 
 def mono(ks, ls, pi=0):
@@ -172,6 +177,7 @@ class TestPolylogExpansion:
             PolylogExpansion(Index((2,)), li_expand(Index((3,))))
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestCachePersistence:
     def test_roundtrip(self, tmp_path):
         li_expand(Index((1, 2)))
@@ -182,3 +188,68 @@ class TestCachePersistence:
         m = load_li_cache(str(path))
         assert m == n
         assert li_expand(Index((1, 2))) == before
+
+    def test_reads_only_the_entries_asked_for(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.json")
+        for k in enumerate_admissible(5):
+            zeta_expr(k)
+        expected = li_expand(Index((2, 3)))
+        n = save_li_cache(path)
+        clear_caches()
+        monkeypatch.setattr(polylog, "_li_expand_uncached", None)  # any miss must read the file
+        use_li_cache(path)
+        assert li_expand(Index((2, 3))) == expected
+        assert list(polylog._LI_CACHE) == [Index((2, 3))]
+        assert len(polylog._DISK) == n
+
+    def test_save_only_adds(self, tmp_path):
+        path = tmp_path / "cache.json"
+        li_expand(Index((2,)))
+        assert save_li_cache(str(path)) == 1
+        before = path.read_text()
+        assert save_li_cache(str(path)) == 0
+        assert path.read_text() == before
+        li_expand(Index((3,)))
+        assert save_li_cache(str(path)) == 1
+        after = json.loads(path.read_text())["entries"]
+        assert {k: v for k, v in after.items() if k != "3"} == json.loads(before)["entries"]
+
+    def test_save_creates_the_directory(self, tmp_path):
+        path = tmp_path / "new" / "cache.json"
+        li_expand(Index((2,)))
+        assert save_li_cache(str(path)) >= 1 and path.exists()
+        assert [p.name for p in path.parent.iterdir()] == ["cache.json"]
+
+    @pytest.mark.parametrize("text", ['{"2": {"terms": 5}}', "[" * 100000, "{", "\xff"])
+    def test_unusable_file_counts_as_empty(self, tmp_path, capsys, text):
+        path = tmp_path / "cache.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert load_li_cache(str(path)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ignoring expansion cache {path}: ")
+
+    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key"])
+    def test_entry_failing_a_check_is_recomputed(self, tmp_path, capsys, damage):
+        path = tmp_path / "cache.json"
+        expected = li_expand(Index((2,)))
+        save_li_cache(str(path))
+        data = json.loads(path.read_text())
+        entries = data["entries"]
+        if damage == "not a pair":
+            entries["2"] = {"terms": 5}
+        elif damage == "wrong weight":
+            # a consistent digest over the expansion of another index
+            text = json.dumps(expr_to_json(li_expand(Index((3,)))), separators=(",", ":"))
+            entries["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
+        else:
+            entries["02"] = entries.pop("2")
+        path.write_text(json.dumps(data))
+        clear_caches()
+        load_li_cache(str(path))
+        assert li_expand(Index((2,))) == expected
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ignoring entry")
+        assert save_li_cache(str(path)) == 1
+        entries = json.loads(path.read_text())["entries"]
+        assert list(entries) == ["2"]
+        assert entries["2"]["sha256"] == polylog._entry_digest("2", entries["2"]["expr"])
