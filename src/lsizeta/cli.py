@@ -181,6 +181,8 @@ def cmd_relations(args, cfg: CliConfig) -> str:
 
 def cmd_lk(args, cfg: CliConfig) -> str:
     wmax = args.upto
+    if wmax < 2:
+        raise CliError(f"weight {wmax} is below 2, the least weight with an l_w")
     if wmax > cfg.max_weight:
         raise CliError(f"weight {wmax} exceeds the configured cap {cfg.max_weight}")
     rows = []

@@ -8,10 +8,13 @@ ordered simplex in (0, pi/3), with A(t) = log|2 sin(t/2)| logarithmically
 singular at t -> 0.  The quadrature substitutes t = exp(-x), turning the
 singular endpoint into smooth exponential decay on x in [-log(pi/3), 128],
 and represents each integrand level by piecewise Chebyshev interpolants on a
-fixed panel decomposition.  Indefinite integrals of a Chebyshev series are
-again Chebyshev series, so the running inner integral is available at every
-node of every panel and levels simply compose.  With degree-48 panels of
-width at most 8 the per-level truncation error sits far below 1e-12.
+fixed panel decomposition.  The integral of the interpolant from each node to
+its panel's end is linear in the node values: one precomputed 48x48 kernel,
+so a matrix product and a cumulative sum across panels give the running inner
+integral at every node, and levels simply compose.  With degree-48 panels of
+width at most 8 the per-level truncation error sits far below 1e-12.  Nested
+integrals are memoized as floats per exponent pair vector (ks, ls); node
+arrays are never kept.
 
 Zeta values are computed outside-in: with R_{n+1} = 1 define
 
@@ -50,6 +53,8 @@ class NumericConfig:
             raise ValueError("tolerance must be positive")
         if self.max_depth < 1:
             raise ValueError("depth cap must be at least 1")
+        if self.series_cutoff < 16:  # the tail fit samples terms n/4, n/2 and n
+            raise ValueError("series cutoff must be at least 16")
 
 
 DEFAULT_CONFIG = NumericConfig()
@@ -70,26 +75,24 @@ _N_CHEB = 48  # points per panel
 
 @lru_cache(maxsize=1)
 def _panel_machine():
-    x0 = -math.log(SIGMA)
-    edges = [x0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
-    e = 8.0
-    while e < 128.0:
-        e += 8.0
-        edges.append(e)
-    edges = np.array(edges)
+    edges = np.concatenate([[-math.log(SIGMA), 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0],
+                            np.arange(8.0, 129.0, 8.0)])
     n = _N_CHEB
+    cheb = np.polynomial.chebyshev
     # Chebyshev points of the second kind, ascending in [-1, 1]
     u = -np.cos(np.pi * np.arange(n) / (n - 1))
-    vander = np.polynomial.chebyshev.chebvander(u, n - 1)      # values <- coeffs
-    to_coeff = np.linalg.inv(vander)                            # coeffs <- values
+    to_coeff = np.linalg.inv(cheb.chebvander(u, n - 1))        # coeffs <- values
+    # node values -> antiderivative coefficients -> T_j(1) - T_j(u_i): the
+    # integral from each node to the right end of its panel, on [-1, 1]
+    anti = cheb.chebint(np.eye(n), axis=0)                      # (n+1, n)
+    kernel = (cheb.chebval(1.0, anti) - cheb.chebvander(u, n) @ anti) @ to_coeff
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     x = a + (b - a) * (u[None, :] + 1.0) / 2.0                  # (P, n) nodes
-    half_width = ((b - a) / 2.0).ravel()
     t = np.exp(-x)
     with np.errstate(divide="ignore"):
         a_vals = np.log(2.0 * np.sin(t / 2.0))                  # A at the nodes
-    return x, t, a_vals, to_coeff, vander, half_width
+    return t, a_vals, kernel.T, (b - a) / 2.0
 
 
 def _suffix_integrals(h_vals: np.ndarray):
@@ -99,22 +102,17 @@ def _suffix_integrals(h_vals: np.ndarray):
     (F, total) with F[p, i] = integral of h from x[p, i] to the right end of
     the last panel, and total the full integral.
     """
-    _, _, _, to_coeff, vander, half_width = _panel_machine()
-    coeffs = h_vals @ to_coeff.T                                # (P, n)
-    anti = np.polynomial.chebyshev.chebint(coeffs, axis=1)      # (P, n+1)
-    anti_vals = anti @ np.polynomial.chebyshev.chebvander(
-        -np.cos(np.pi * np.arange(_N_CHEB) / (_N_CHEB - 1)), _N_CHEB).T
-    anti_right = np.polynomial.chebyshev.chebval(1.0, anti.T)
-    scale = half_width[:, None]
-    within = (anti_right[:, None] - anti_vals) * scale          # node -> panel end
+    _, _, kernel_t, half_width = _panel_machine()
+    within = (h_vals @ kernel_t) * half_width                   # node -> panel end
     panel_totals = within[:, 0]
     after = np.concatenate([np.cumsum(panel_totals[::-1])[::-1][1:], [0.0]])
     return within + after[:, None], float(panel_totals.sum())
 
 
+@lru_cache(maxsize=None)
 def _nested_ls_integral(ks, ls) -> float:
     """Integral over the ordered simplex of prod t_u^{l_u} A(t_u)^{k_u-1-l_u}."""
-    x, t, a_vals, *_ = _panel_machine()
+    t, a_vals, *_ = _panel_machine()
     inner = np.ones_like(t)
     total = 1.0
     for k, l in zip(ks, ls):
@@ -146,7 +144,7 @@ def eval_expr(e: LsiExpr, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
 
 def integrate_to_sigma(f) -> float:
     """Integral of a vectorized f(t) over (0, pi/3); f may blow up like log t."""
-    _, t, _, *_ = _panel_machine()
+    t = _panel_machine()[0]
     _, total = _suffix_integrals(f(t) * t)
     return total
 

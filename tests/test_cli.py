@@ -89,6 +89,12 @@ class TestErrors:
         code, _, err = run(capsys, "lk", "9", "--max-weight", "8")
         assert code == 1 and "exceeds" in err
 
+    @pytest.mark.parametrize("argv", [("lk", "1"), ("lk", "--", "-3")])
+    def test_weight_below_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "below 2" in json.loads(err.splitlines()[-1])["error"]
+
     def test_bad_config(self, capsys):
         code, _, err = run(capsys, "lk", "4", "--max-weight", "99")
         assert code == 2 and "max weight" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lsizeta import oracle
 from lsizeta.algebra import (
     LsiExpr,
     LsiMonomial,
@@ -25,6 +26,7 @@ from lsizeta.oracle import (
     euler_even_zeta,
 )
 from lsizeta.polylog import li_expand, zeta_expr
+from lsizeta.relations import build_basis
 
 CFG = NumericConfig()
 
@@ -244,3 +246,89 @@ class TestConfig:
             NumericConfig(abs_tolerance=0.0)
         with pytest.raises(ValueError):
             NumericConfig(max_depth=0)
+
+    @pytest.mark.parametrize("cutoff", [0, 3, 15])
+    def test_series_cutoff_too_small_for_tail_fit(self, cutoff):
+        with pytest.raises(ValueError, match="series cutoff"):
+            NumericConfig(series_cutoff=cutoff)
+
+    def test_smallest_series_cutoff(self):
+        assert NumericConfig(series_cutoff=16).series_cutoff == 16
+
+
+def _suffix_integrals_per_call(h_vals):
+    """The formulation the precomputed panel kernel replaced: Chebyshev
+    coefficients, chebint and chebval rebuilt on every call."""
+    cheb = np.polynomial.chebyshev
+    n = h_vals.shape[1]
+    u = -np.cos(np.pi * np.arange(n) / (n - 1))
+    coeffs = h_vals @ np.linalg.inv(cheb.chebvander(u, n - 1)).T
+    anti = cheb.chebint(coeffs, axis=1)
+    anti_vals = anti @ cheb.chebvander(u, n).T
+    anti_right = cheb.chebval(1.0, anti.T)
+    within = (anti_right[:, None] - anti_vals) * oracle._panel_machine()[3]
+    panel_totals = within[:, 0]
+    after = np.concatenate([np.cumsum(panel_totals[::-1])[::-1][1:], [0.0]])
+    return within + after[:, None], float(panel_totals.sum())
+
+
+def _canonical_shapes(max_weight=7, max_depth=3):
+    return sorted({(m.ks, m.ls)
+                   for w in range(2, max_weight + 1) for parity in ("odd", "even")
+                   for m in build_basis(w, parity).monomials
+                   if 1 <= m.depth <= max_depth})
+
+
+class TestPanelKernel:
+    @pytest.mark.parametrize("integrand", ["smooth", "log_singular"])
+    def test_matches_per_call_formulation(self, integrand):
+        t, a_vals, *_ = oracle._panel_machine()
+        h = np.cos(t) * t if integrand == "smooth" else a_vals * t
+        got, got_total = oracle._suffix_integrals(h)
+        want, want_total = _suffix_integrals_per_call(h)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert abs(got_total - want_total) <= 1e-13
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_eval_ls_matches_per_call_formulation(self, monkeypatch):
+        shapes = _canonical_shapes()
+        got = {s: eval_ls(mono(*s)) for s in shapes}
+        monkeypatch.setattr(oracle, "_suffix_integrals", _suffix_integrals_per_call)
+        for ks, ls in shapes:
+            want = (-1.0) ** len(ks) * oracle._nested_ls_integral.__wrapped__(ks, ls)
+            assert got[ks, ls] == pytest.approx(want, rel=1e-12, abs=1e-13), (ks, ls)
+
+
+@pytest.fixture
+def warm_quadrature_memo():
+    eval_ls(mono((3, 2), (0, 0)))
+    assert oracle._nested_ls_integral.cache_info().currsize > 0
+
+
+def test_fresh_caches_clears_quadrature_memo(warm_quadrature_memo, fresh_caches):
+    assert oracle._nested_ls_integral.cache_info().currsize == 0
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestQuadratureMemo:
+    def test_repeated_shape_integrates_once(self, monkeypatch):
+        calls = []
+        kernel = oracle._suffix_integrals
+
+        def counted(h_vals):
+            calls.append(1)
+            return kernel(h_vals)
+
+        monkeypatch.setattr(oracle, "_suffix_integrals", counted)
+        e = LsiExpr.of_monomial(mono((3, 2), (0, 0))) \
+            + LsiExpr.of_monomial(mono((3, 2), (0, 0), pi=1))
+        first = eval_expr(e)
+        assert len(calls) == 2  # one nested integral of depth 2
+        assert eval_expr(e) == first
+        assert len(calls) == 2
+
+    def test_depth_cap_with_warm_memo(self):
+        m = mono((2, 2, 2, 2), (0, 0, 0, 0))
+        eval_ls(m, NumericConfig(max_depth=4))
+        with pytest.raises(ValueError, match="beyond configured cap"):
+            eval_ls(m, NumericConfig(max_depth=3))
