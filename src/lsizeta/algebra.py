@@ -19,9 +19,12 @@ Three rewriting operations generate the whole algebra:
   suite checks on random monomials.
 
 ``multiply`` is shuffle followed by canonicalization, extended bilinearly; it
-is commutative and associative.  Monomial products are cached after
-canonicalization keyed by the column vectors, since the zeta-expression
-pipeline multiplies the same monomial shapes many times over.
+is commutative and associative.  Canonical forms and products of monomials
+are cached as integer tables (n/d per monomial) keyed by the column vectors,
+since the zeta-expression pipeline multiplies the same monomial shapes many
+times over.  The kernels sum integer numerators over the lcm of all terms'
+denominators and build one ``Fraction`` per output coefficient part; given
+several pairs, ``multiply`` sums all their products in that one accumulation.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator
 
 from .gaussian import GR_ONE, GaussianRational
 
 Cols = tuple[tuple[int, int], ...]
+Table = tuple[int, tuple[tuple[tuple, int], ...]]  # n/d per monomial (pi_pow, ks, ls)
 
-_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +80,12 @@ class LsiMonomial:
     @property
     def is_canonical(self) -> bool:
         return all(k - 1 - l >= 1 for k, l in zip(self.ks, self.ls))
+
+    @property
+    def phase(self) -> int:
+        """q = depth + pi power + sum l.  Every li and zeta expansion has i^q
+        times a rational as the coefficient of each of its monomials."""
+        return len(self.ks) + self.pi_pow + sum(self.ls)
 
     def cols(self) -> Cols:
         return tuple(zip(self.ks, self.ls))
@@ -276,79 +287,100 @@ def reduce_at(m: LsiMonomial, j: int) -> LsiExpr:
     return LsiExpr(acc, _trusted=True)
 
 
-# canonical form (rational coefficients) of a pi-free monomial given by cols
-_CANON_CACHE: dict[tuple[Cols, str], dict[LsiMonomial, Fraction]] = {}
+def _accumulate(terms) -> tuple[int, dict, dict]:
+    """Common denominator L and re, im numerators of sum (re + i*im)/den * pi^dpi * table."""
+    terms = [(re, im, den * d, dpi, items) for re, im, den, dpi, (d, items) in terms]
+    big = lcm(*(t[2] for t in terms))
+    acc_re, acc_im = {}, {}
+    for re, im, den, dpi, items in terms:
+        scale = big // den
+        for acc, c in ((acc_re, re * scale), (acc_im, im * scale)):
+            if c:
+                for (pi, ks, ls), n in items:
+                    key = pi + dpi, ks, ls
+                    acc[key] = acc.get(key, 0) + c * n
+    return big, acc_re, acc_im
 
 
-def _canon_cols(cols: Cols, strategy: str = "leftmost") -> dict[LsiMonomial, Fraction]:
+def _table(terms) -> Table:
+    # the real part of the accumulated terms, reduced by the gcd
+    den, acc, _ = _accumulate(terms)
+    items = [(m, n) for m, n in acc.items() if n]
+    g = gcd(den, *(n for _, n in items))
+    return den // g, tuple((m, n // g) for m, n in items)
+
+
+def _collect(terms) -> LsiExpr:
+    den, re, im = _accumulate(terms)
+    frac = lambda n: Fraction(n, den) if n else _ZERO
+    return LsiExpr({LsiMonomial(*m): GaussianRational(frac(re.get(m, 0)), frac(im.get(m, 0)))
+                    for m in {**re, **im}})
+
+
+def _parts(c: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, den) integers with c = (re + i*im)/den."""
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+# canonical form of a pi-free monomial given by cols
+_CANON_CACHE: dict[tuple[Cols, str], Table] = {}
+
+
+def _canon_cols(cols: Cols, strategy: str = "leftmost") -> Table:
     cached = _CANON_CACHE.get((cols, strategy))
     if cached is not None:
         return cached
     reducible = [j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0]
     if not reducible:
-        result = {monomial_from_cols(0, cols): _ONE}
+        table = (1, (((0, tuple(k for k, _ in cols), tuple(l for _, l in cols)), 1),))
     else:
         j = reducible[0] if strategy == "leftmost" else reducible[-1]
-        result = {}
-        for f, dpi, child in _reduce_step(cols, j):
-            for mono, g in _canon_cols(child, strategy).items():
-                key = mono.shifted(dpi)
-                result[key] = result.get(key, 0) + f * g
-        result = {m: c for m, c in result.items() if c}
-    _CANON_CACHE[(cols, strategy)] = result
-    return result
+        table = _table((f.numerator, 0, f.denominator, dpi, _canon_cols(child, strategy))
+                       for f, dpi, child in _reduce_step(cols, j))
+    _CANON_CACHE[(cols, strategy)] = table
+    return table
 
 
 def canonicalize(e: LsiExpr, strategy: str = "leftmost") -> LsiExpr:
     """Reduce every monomial to canonical form (linear extension, fixpoint)."""
-    acc: dict[LsiMonomial, GaussianRational] = {}
-    for m, c in e._terms.items():
-        for mono, f in _canon_cols(m.cols(), strategy).items():
-            key = mono.shifted(m.pi_pow)
-            s = acc.get(key)
-            s = c.scale(f) if s is None else s + c.scale(f)
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return LsiExpr(acc, _trusted=True)
+    return _collect((*_parts(c), m.pi_pow, _canon_cols(m.cols(), strategy))
+                    for m, c in e._terms.items())
 
 
 # canonicalized product of two pi-free monomials, cached by column vectors
-_PRODUCT_CACHE: dict[tuple[Cols, Cols], dict[LsiMonomial, Fraction]] = {}
+_PRODUCT_CACHE: dict[tuple[Cols, Cols], Table] = {}
 
 
-def _product_cols(a: Cols, b: Cols) -> dict[LsiMonomial, Fraction]:
+def _product_cols(a: Cols, b: Cols) -> Table:
     if b < a:
         a, b = b, a
     cached = _PRODUCT_CACHE.get((a, b))
     if cached is not None:
         return cached
-    acc: dict[LsiMonomial, Fraction] = {}
-    for cols in _interleavings(a, b):
-        for mono, f in _canon_cols(cols).items():
-            acc[mono] = acc.get(mono, 0) + f
-    acc = {m: c for m, c in acc.items() if c}
-    _PRODUCT_CACHE[(a, b)] = acc
-    return acc
+    table = _table((1, 0, 1, 0, _canon_cols(cols)) for cols in _interleavings(a, b))
+    _PRODUCT_CACHE[(a, b)] = table
+    return table
 
 
-def multiply(a: LsiExpr, b: LsiExpr) -> LsiExpr:
-    """Bilinear shuffle product followed by canonicalization."""
-    acc: dict[LsiMonomial, GaussianRational] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
-            c = ca * cb
-            dpi = ma.pi_pow + mb.pi_pow
-            for mono, f in _product_cols(ma.cols(), mb.cols()).items():
-                key = mono.shifted(dpi)
-                s = acc.get(key)
-                s = c.scale(f) if s is None else s + c.scale(f)
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-    return LsiExpr(acc, _trusted=True)
+def _product_terms(pairs):
+    for a, b in pairs:
+        tb = [(m.pi_pow, m.cols(), *_parts(c)) for m, c in b._terms.items()]
+        for ma, ca in a._terms.items():
+            pa, cols, ra, ia, da = ma.pi_pow, ma.cols(), *_parts(ca)
+            for pb, cols_b, rb, ib, db in tb:
+                yield (ra * rb - ia * ib, ra * ib + ia * rb, da * db, pa + pb,
+                       _product_cols(cols, cols_b))
+
+
+def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr]) -> LsiExpr:
+    """Bilinear shuffle product of ``a`` and ``b`` followed by canonicalization.
+
+    Each further ``(a, b)`` pair adds its product; the whole sum is one
+    accumulation, cheaper than adding the products one by one.
+    """
+    return _collect(_product_terms(((a, b), *pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ constant t_{n+1} = pi/3 contributes a pi-power with a rational factor 1/3 per
 pick), the factors are convolved left to right so the exponents of A(t_u) and
 t_u close as soon as factor u is consumed, and the resulting exponent pattern
 (l_u powers of t_u, p_u powers of A(t_u)) is the monomial with k'_u equal to
-l_u + p_u + 1, signed by the simplex-integral normalization.
+l_u + p_u + 1, signed by the simplex-integral normalization.  States hold
+integer numerators over the product of 2^e e! (6^e e! for the last factor,
+e = k_u - 1) and no powers of i: a state's phase is (-1)^n i^q, q = its
+monomial's ``phase``, which canonicalization and products keep, so every
+coefficient of an expansion or a zeta expression is i^q times a rational.
 
 ``zeta_expr`` assembles the zeta value of an admissible index as the
 convolution sum over truncations of the index paired with conjugated
 truncations of the dual index, a rewriting of the known duality for
-polylogarithms at the sixth root of unity into a statement about zeta values.
+polylogarithms at the sixth root of unity into a statement about zeta values;
+all w + 1 products are summed in one integer accumulation.
 Both functions memoize aggressively: a weight class of zeta expressions reuses
 the same truncated expansions over and over.
 
@@ -33,9 +38,9 @@ the digest is SHA-256 over ``<index>``, a newline and ``<text>``.
 ``use_li_cache`` only records the path.  The file is read the first time
 ``li_expand`` misses its memo, and then only its outer map is parsed; an
 entry is decoded when its index is first asked for.  A decoded entry must
-match its digest and have every monomial of its index's weight.  A file
-that cannot be parsed or has another format, and every entry that fails a
-check, cost one stderr line and are recomputed, so results never change.
+match its digest, its index's weight and the phase i^q above.  A file that
+cannot be parsed or has another format, and every entry that fails a check,
+cost one stderr line and are recomputed, so results never change.
 ``save_li_cache`` rewrites the file, atomically, only when the memo holds
 expansions the file lacks; the digest catches corruption and hand edits, not
 an edit that also rewrites the digest.
@@ -52,7 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import LsiExpr, LsiMonomial, canonicalize, conjugate, multiply, real_part
+from .algebra import (LsiExpr, LsiMonomial, canonicalize, conjugate, monomial_from_cols,
+                      multiply, real_part)
 from .gaussian import GaussianRational, i_power
 from .indices import Index, dual, truncate
 
@@ -76,33 +82,32 @@ class PolylogExpansion:
 def _inner_factor_terms(e: int):
     # Multinomial expansion of the u-th factor (u < n) over its 4 summands:
     #   +A(t_{u+1}) | -A(t_u) | -(i/2) t_{u+1} | +(i/2) t_u
-    # yielding (carry_a, carry_t, a_here, t_here, coefficient).
+    # times 2^e e! / i^(t_next + t_cur), yielding (carry_a, carry_t, a_here,
+    # t_here, integer coefficient).
     out = []
     for a_next in range(e + 1):
         for a_cur in range(e + 1 - a_next):
             for t_next in range(e + 1 - a_next - a_cur):
                 t_cur = e - a_next - a_cur - t_next
                 sign = -1 if (a_cur + t_next) % 2 else 1
-                mag = Fraction(sign, 2 ** (t_next + t_cur)
-                               * factorial(a_next) * factorial(a_cur)
-                               * factorial(t_next) * factorial(t_cur))
-                coeff = i_power(t_next + t_cur).scale(mag)
+                coeff = sign * 2 ** (a_next + a_cur) * factorial(e) // (
+                    factorial(a_next) * factorial(a_cur)
+                    * factorial(t_next) * factorial(t_cur))
                 out.append((a_next, t_next, a_cur, t_cur, coeff))
     return out
 
 
 def _last_factor_terms(e: int):
     # Last factor: A(t_{n+1}) vanishes and t_{n+1} = pi/3 is constant, so the
-    # summands are -A(t_n), +(i/2) t_n and -(i/6) pi.  Yields
-    # (pi_picks, a_here, t_here, coefficient).
+    # summands are -A(t_n), +(i/2) t_n and -(i/6) pi.  Times 6^e e! /
+    # i^(t_cur + pi_picks), yields (pi_picks, a_here, t_here, integer coefficient).
     out = []
     for a_cur in range(e + 1):
         for t_cur in range(e + 1 - a_cur):
             c_pi = e - a_cur - t_cur
             sign = -1 if (a_cur + c_pi) % 2 else 1
-            mag = Fraction(sign, 2 ** t_cur * 6 ** c_pi
-                           * factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
-            coeff = i_power(t_cur + c_pi).scale(mag)
+            coeff = sign * 6 ** a_cur * 3 ** t_cur * factorial(e) // (
+                factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
             out.append((c_pi, a_cur, t_cur, coeff))
     return out
 
@@ -112,12 +117,14 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
     if n == 0:
         return LsiExpr.unit()
     # state key: (pending A(t_{u+1}) picks, pending t_{u+1} picks, pi-power,
-    #             finished (k', l) columns)
-    states: dict[tuple, GaussianRational] = {(0, 0, 0, ()): GaussianRational.of(1)}
-    for u, ku in enumerate(k.parts):
+    #             finished (k', l) columns); value: integer numerator over den
+    states: dict[tuple, int] = {(0, 0, 0, ()): 1}
+    den = 1
+    for u, e in enumerate(ku - 1 for ku in k.parts):
         last = u == n - 1
-        terms = _last_factor_terms(ku - 1) if last else _inner_factor_terms(ku - 1)
-        new: dict[tuple, GaussianRational] = {}
+        den *= (6 if last else 2) ** e * factorial(e)
+        terms = _last_factor_terms(e) if last else _inner_factor_terms(e)
+        new: dict[tuple, int] = {}
         for (carry_a, carry_t, pi, cols), coeff in states.items():
             for term in terms:
                 if last:
@@ -130,18 +137,19 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
                     p = carry_a + a_cur
                     l = carry_t + t_cur
                     key = (a_next, t_next, pi, cols + ((p + l + 1, l),))
-                v = coeff * c
-                s = new.get(key)
-                new[key] = v if s is None else s + v
+                new[key] = new.get(key, 0) + coeff * c
         states = new
-    front = i_power(n).scale(Fraction((-1) ** n))  # i^n from dt, (-1)^n from Ls sign
+    # The stripped phases multiply to i^(pi + sum l); with i^n from dt and
+    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den.
     acc: dict[LsiMonomial, GaussianRational] = {}
-    for (_, _, pi, cols), coeff in states.items():
-        m = LsiMonomial(pi, tuple(c[0] for c in cols), tuple(c[1] for c in cols))
-        v = coeff * front
-        s = acc.get(m)
-        acc[m] = v if s is None else s + v
-    return canonicalize(LsiExpr(acc))
+    for (_, _, pi, cols), num in states.items():
+        if not num:
+            continue
+        m = monomial_from_cols(pi, cols)
+        q = m.phase
+        r = Fraction(-num if (n + q // 2) % 2 else num, den)
+        acc[m] = GaussianRational(im=r) if q % 2 else GaussianRational(r)
+    return canonicalize(LsiExpr(acc, _trusted=True))
 
 
 def li_expand(k: Index) -> LsiExpr:
@@ -177,11 +185,9 @@ def zeta_expr(k: Index) -> LsiExpr:
         return e
     w = k.weight
     kd = dual(k)
-    total = LsiExpr.zero()
-    for m in range(w + 1):
-        left = li_expand(truncate(k, m))
-        right = conjugate(li_expand(truncate(kd, w - m)))
-        total = total + multiply(left, right)
+    first, *rest = ((li_expand(truncate(k, m)), conjugate(li_expand(truncate(kd, w - m))))
+                    for m in range(w + 1))
+    total = multiply(*first, *rest)
     with _LOCK:
         _ZETA_CACHE[k] = total
     return total
@@ -283,6 +289,8 @@ def _decode_entry(key: str, entry, weight: int) -> LsiExpr:
     e = expr_from_json(json.loads(text))
     if any(m.weight != weight for m in e.monomials()):
         raise ValueError(f"a monomial is not of weight {weight}")
+    if any(c.re if m.phase % 2 else c.im for m, c in e.terms()):
+        raise ValueError("a coefficient is not i^(depth + pi power + sum l) times a rational")
     return e
 
 

@@ -158,6 +158,27 @@ class TestCacheEnv:
         assert err.splitlines() == [
             f"ignoring entry '2' of expansion cache {path}: checksum mismatch"]
 
+    def test_entry_off_phase_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # a hand edit that makes the real pi^2 term of Li_2 imaginary, with the
+        # digest recomputed so that only the phase rule can catch it
+        path = _cache(tmp_path, monkeypatch)
+        code, out, _ = run(capsys, "zeta", "2")
+        assert code == 0 and out == "(1/6)*pi^2"
+        data = json.loads(path.read_text())
+        expr = json.loads(data["entries"]["2"]["expr"])
+        for term in expr["terms"]:
+            if term["pi"] == 2:
+                term["re"], term["im"] = term["im"], term["re"]
+        text = json.dumps(expr, separators=(",", ":"))
+        data["entries"]["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
+        path.write_text(json.dumps(data))
+        polylog.clear_caches()
+        code, out, err = run(capsys, "zeta", "2")
+        assert code == 0 and out == "(1/6)*pi^2"
+        assert err.splitlines() == [
+            f"ignoring entry '2' of expansion cache {path}: a coefficient is not "
+            "i^(depth + pi power + sum l) times a rational"]
+
     def test_unversioned_cache_is_rewritten(self, capsys, tmp_path, monkeypatch):
         path = _cache(tmp_path, monkeypatch)
         two = polylog._li_expand_uncached(Index((2,)))

@@ -1,0 +1,258 @@
+"""The integer expansion kernels against a per-term ``Fraction`` witness.
+
+``algebra`` and ``polylog`` sum integer numerators over one common denominator.
+The functions below are the earlier per-term ``Fraction`` formulation of the
+same kernels, kept here only as an independent reference: every term is a
+``GaussianRational`` and every step takes a gcd.  They share nothing with the
+library but the shuffle interleavings and the single reduction step.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lsizeta.algebra import (
+    LsiExpr,
+    LsiMonomial,
+    _interleavings,
+    _reduce_step,
+    canonicalize,
+    conjugate,
+    monomial_from_cols,
+    multiply,
+)
+from lsizeta.gaussian import GaussianRational, i_power
+from lsizeta.indices import dual, enumerate_admissible, truncate
+from lsizeta.polylog import li_expand, zeta_expr
+
+STRATEGIES = ("leftmost", "rightmost")
+
+# ---------------------------------------------------------------------------
+# reference kernels: one Fraction operation per term
+
+_REF_CANON: dict = {}
+_REF_PRODUCT: dict = {}
+
+
+def ref_canon_cols(cols, strategy="leftmost"):
+    cached = _REF_CANON.get((cols, strategy))
+    if cached is not None:
+        return cached
+    reducible = [j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0]
+    if not reducible:
+        result = {monomial_from_cols(0, cols): Fraction(1)}
+    else:
+        j = reducible[0] if strategy == "leftmost" else reducible[-1]
+        result = {}
+        for f, dpi, child in _reduce_step(cols, j):
+            for mono, g in ref_canon_cols(child, strategy).items():
+                key = mono.shifted(dpi)
+                result[key] = result.get(key, 0) + f * g
+        result = {m: c for m, c in result.items() if c}
+    _REF_CANON[(cols, strategy)] = result
+    return result
+
+
+def ref_canonicalize(e, strategy="leftmost"):
+    acc = {}
+    for m, c in e.terms():
+        for mono, f in ref_canon_cols(m.cols(), strategy).items():
+            key = mono.shifted(m.pi_pow)
+            s = acc.get(key)
+            s = c.scale(f) if s is None else s + c.scale(f)
+            if s:
+                acc[key] = s
+            elif key in acc:
+                del acc[key]
+    return LsiExpr(acc, _trusted=True)
+
+
+def ref_product_cols(a, b):
+    if b < a:
+        a, b = b, a
+    cached = _REF_PRODUCT.get((a, b))
+    if cached is not None:
+        return cached
+    acc = {}
+    for cols in _interleavings(a, b):
+        for mono, f in ref_canon_cols(cols).items():
+            acc[mono] = acc.get(mono, 0) + f
+    acc = {m: c for m, c in acc.items() if c}
+    _REF_PRODUCT[(a, b)] = acc
+    return acc
+
+
+def ref_multiply(a, b):
+    acc = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            c = ca * cb
+            dpi = ma.pi_pow + mb.pi_pow
+            for mono, f in ref_product_cols(ma.cols(), mb.cols()).items():
+                key = mono.shifted(dpi)
+                s = acc.get(key)
+                s = c.scale(f) if s is None else s + c.scale(f)
+                if s:
+                    acc[key] = s
+                elif key in acc:
+                    del acc[key]
+    return LsiExpr(acc, _trusted=True)
+
+
+def _ref_inner_factor_terms(e):
+    out = []
+    for a_next in range(e + 1):
+        for a_cur in range(e + 1 - a_next):
+            for t_next in range(e + 1 - a_next - a_cur):
+                t_cur = e - a_next - a_cur - t_next
+                sign = -1 if (a_cur + t_next) % 2 else 1
+                mag = Fraction(sign, 2 ** (t_next + t_cur)
+                               * factorial(a_next) * factorial(a_cur)
+                               * factorial(t_next) * factorial(t_cur))
+                out.append((a_next, t_next, a_cur, t_cur,
+                            i_power(t_next + t_cur).scale(mag)))
+    return out
+
+
+def _ref_last_factor_terms(e):
+    out = []
+    for a_cur in range(e + 1):
+        for t_cur in range(e + 1 - a_cur):
+            c_pi = e - a_cur - t_cur
+            sign = -1 if (a_cur + c_pi) % 2 else 1
+            mag = Fraction(sign, 2 ** t_cur * 6 ** c_pi
+                           * factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
+            out.append((c_pi, a_cur, t_cur, i_power(t_cur + c_pi).scale(mag)))
+    return out
+
+
+def ref_li_raw(k):
+    """The state convolution of Li_k before canonicalization."""
+    n = k.depth
+    if n == 0:
+        return LsiExpr.unit()
+    states = {(0, 0, 0, ()): GaussianRational.of(1)}
+    for u, ku in enumerate(k.parts):
+        last = u == n - 1
+        terms = _ref_last_factor_terms(ku - 1) if last else _ref_inner_factor_terms(ku - 1)
+        new = {}
+        for (carry_a, carry_t, pi, cols), coeff in states.items():
+            for term in terms:
+                if last:
+                    c_pi, a_cur, t_cur, c = term
+                    l = carry_t + t_cur
+                    key = (0, 0, pi + c_pi, cols + ((carry_a + a_cur + l + 1, l),))
+                else:
+                    a_next, t_next, a_cur, t_cur, c = term
+                    l = carry_t + t_cur
+                    key = (a_next, t_next, pi, cols + ((carry_a + a_cur + l + 1, l),))
+                v = coeff * c
+                s = new.get(key)
+                new[key] = v if s is None else s + v
+        states = new
+    front = i_power(n).scale(Fraction((-1) ** n))
+    acc = {}
+    for (_, _, pi, cols), coeff in states.items():
+        m = monomial_from_cols(pi, cols)
+        v = coeff * front
+        s = acc.get(m)
+        acc[m] = v if s is None else s + v
+    return LsiExpr(acc)
+
+
+def ref_zeta_expr(k):
+    w, kd = k.weight, dual(k)
+    total = LsiExpr.zero()
+    for m in range(w + 1):
+        left = ref_canonicalize(ref_li_raw(truncate(k, m)))
+        right = conjugate(ref_canonicalize(ref_li_raw(truncate(kd, w - m))))
+        total = total + ref_multiply(left, right)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the expansion pipeline against the witness, every admissible index
+
+
+def _truncations(k):
+    for kk in (k, dual(k)):
+        for m in range(kk.weight + 1):
+            yield truncate(kk, m)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_expansions_match_witness(w):
+    seen = set()
+    for k in enumerate_admissible(w):
+        assert zeta_expr(k) == ref_zeta_expr(k), k
+        for t in _truncations(k):
+            if t in seen:
+                continue
+            seen.add(t)
+            raw = ref_li_raw(t)
+            assert li_expand(t) == ref_canonicalize(raw), t
+            for strategy in STRATEGIES:
+                assert canonicalize(raw, strategy) == ref_canonicalize(raw, strategy), (t, strategy)
+
+
+def _phase_ok(e):
+    # the coefficient of m is i^q times a nonzero rational, q = m.phase
+    return all(c and not (c.re if m.phase % 2 else c.im) for m, c in e.terms())
+
+
+def test_phase_is_depth_plus_pi_power_plus_sum_l():
+    assert LsiMonomial(2, (3, 2), (1, 0)).phase == 2 + 2 + 1
+    assert LsiMonomial(4).phase == 4
+
+
+@pytest.mark.parametrize("w", range(2, 10))
+def test_phase_invariant(w):
+    for k in enumerate_admissible(w):
+        assert _phase_ok(zeta_expr(k)), k
+        for t in _truncations(k):
+            assert _phase_ok(li_expand(t)), t
+
+
+# ---------------------------------------------------------------------------
+# random expressions with arbitrary Q(i) coefficients
+
+
+@st.composite
+def monomials(draw, max_depth=3):
+    ks = draw(st.lists(st.integers(1, 4), max_size=max_depth))
+    ls = [draw(st.integers(0, k - 1)) for k in ks]
+    return LsiMonomial(draw(st.integers(0, 2)), tuple(ks), tuple(ls))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=36)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+def exprs(max_depth=3, max_size=4):
+    return st.dictionaries(monomials(max_depth), gaussians, max_size=max_size).map(LsiExpr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(), st.sampled_from(STRATEGIES))
+def test_canonicalize_matches_witness(e, strategy):
+    got = canonicalize(e, strategy)
+    assert got == ref_canonicalize(e, strategy)
+    assert canonicalize(e - got, strategy) == LsiExpr.zero()  # every term cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(2, 3), exprs(2, 3))
+def test_multiply_matches_witness(a, b):
+    assert multiply(a, b) == ref_multiply(a, b)
+    assert multiply(a, b, (a, -b)) == LsiExpr.zero()
+    c = canonicalize(a)  # a - c is zero once canonical, so is its product
+    assert multiply(a - c, b) == ref_multiply(a - c, b) == LsiExpr.zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(2, 3), exprs(2, 3), exprs(2, 3), exprs(2, 3))
+def test_further_pairs_add_their_products(a, b, c, d):
+    assert multiply(a, b, (c, d)) == multiply(a, b) + multiply(c, d)

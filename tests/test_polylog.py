@@ -228,7 +228,7 @@ class TestCachePersistence:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"ignoring expansion cache {path}: ")
 
-    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key"])
+    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key", "off phase"])
     def test_entry_failing_a_check_is_recomputed(self, tmp_path, capsys, damage):
         path = tmp_path / "cache.json"
         expected = li_expand(Index((2,)))
@@ -240,6 +240,11 @@ class TestCachePersistence:
         elif damage == "wrong weight":
             # a consistent digest over the expansion of another index
             text = json.dumps(expr_to_json(li_expand(Index((3,)))), separators=(",", ":"))
+            entries["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
+        elif damage == "off phase":
+            # i Ls_2 + (1/36) pi^2 with the real pi^2 term made imaginary
+            text = entries["2"]["expr"].replace('"re":"1/36","im":"0"', '"re":"0","im":"1/36"')
+            assert text != entries["2"]["expr"]
             entries["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
         else:
             entries["02"] = entries.pop("2")
