@@ -19,7 +19,7 @@ from .algebra import (
     reduce_at,
     shuffle,
 )
-from .gaussian import GaussianRational, Rational
+from .gaussian import GaussianRational
 from .indices import Index, dedupe_by_duality, dual, enumerate_admissible, truncate
 from .oracle import (
     NumericConfig,
@@ -31,14 +31,7 @@ from .oracle import (
     eval_mzv,
     euler_even_zeta,
 )
-from .polylog import (
-    PolylogExpansion,
-    li_expand,
-    mgl_value,
-    polylog_expansion,
-    weight1_proposition_expr,
-    zeta_expr,
-)
+from .polylog import li_expand, mgl_value, zeta_expr
 from .relations import (
     MonomialBasis,
     MzvRelation,
@@ -52,7 +45,6 @@ from .relations import (
     re_matrix,
     reduce_mzv_matrix,
     reduce_real_expr,
-    rref,
 )
 
 __version__ = "0.1.0"
@@ -65,8 +57,6 @@ __all__ = [
     "MonomialBasis",
     "MzvRelation",
     "NumericConfig",
-    "PolylogExpansion",
-    "Rational",
     "RationalMatrix",
     "bernoulli_number",
     "build_basis",
@@ -90,15 +80,12 @@ __all__ = [
     "mgl_value",
     "multiply",
     "mzv_relations",
-    "polylog_expansion",
     "re_matrix",
     "real_part",
     "reduce_at",
     "reduce_mzv_matrix",
     "reduce_real_expr",
-    "rref",
     "shuffle",
     "truncate",
-    "weight1_proposition_expr",
     "zeta_expr",
 ]

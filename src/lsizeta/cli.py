@@ -15,8 +15,11 @@ Commands mirror the library operations one-to-one:
 
 Index literals are comma-separated positive integers (``1,3``); monomial
 literals are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``).
-Output format is selected with ``--format {text,json,latex}``.  Weights of 8
-and above are long-running; progress goes to stderr, results to stdout.
+Output format is selected with ``--format {text,json,latex}``; results go to
+stdout.  ``--max-weight`` (default 8, at most 12) caps the weight of
+``relations``, ``lk`` and ``verify`` only.  Weights of 8 and above are
+long-running: there ``relations`` and ``lk`` report each expanded zeta row as
+``expanded i/n (weight w)`` on stderr, through the ``lsizeta`` logger.
 
 If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
 runs in ``$LSI_CACHE_DIR/li_cache.json`` (layout in ``lsizeta.polylog``).  A
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -46,13 +50,14 @@ from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, eule
 from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
 from .relations import build_basis, compute_lk, ls_relations_for, mzv_relations
 
+_LOG = logging.getLogger("lsizeta")
+
 
 @dataclass
 class CliConfig:
     max_weight: int = 8
     precision: float = 1e-8
     output_format: str = "text"
-    parallel_rows: bool = False
     use_cr_relations: bool = False
 
     def validate(self):
@@ -102,8 +107,9 @@ def _emit_expr(e: LsiExpr, fmt: str) -> str:
     return str(e)
 
 
-def _progress(msg: str):
-    print(msg, file=sys.stderr, flush=True)
+def _report_progress(w: int) -> None:
+    # zeta rows of weight 8 and above take long enough to report
+    _LOG.setLevel(logging.INFO if w >= 8 else logging.WARNING)
 
 
 def _cr_values(cfg: CliConfig, w: int) -> tuple[int, ...]:
@@ -169,9 +175,8 @@ def cmd_relations(args, cfg: CliConfig) -> str:
     w = args.weight
     if w > cfg.max_weight:
         raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
-    progress = _progress if w >= 8 else None
-    rels = mzv_relations(w, use_cr=_cr_values(cfg, w),
-                         parallel=cfg.parallel_rows, progress=progress)
+    _report_progress(w)
+    rels = mzv_relations(w, use_cr=_cr_values(cfg, w))
     if cfg.output_format == "json":
         return json.dumps([serialize.relation_to_json(r) for r in rels])
     if cfg.output_format == "latex":
@@ -187,9 +192,8 @@ def cmd_lk(args, cfg: CliConfig) -> str:
         raise CliError(f"weight {wmax} exceeds the configured cap {cfg.max_weight}")
     rows = []
     for w in range(2, wmax + 1):
-        progress = _progress if w >= 8 else None
-        rows.append((w, compute_lk(w, use_cr=_cr_values(cfg, w),
-                                   parallel=cfg.parallel_rows, progress=progress)))
+        _report_progress(w)
+        rows.append((w, compute_lk(w, use_cr=_cr_values(cfg, w))))
     if cfg.output_format == "json":
         return json.dumps([{"weight": w, "lk": v} for w, v in rows])
     if cfg.output_format == "latex":
@@ -242,13 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
     common.add_argument("--max-weight", type=int, default=8,
-                        help="cap for weight-parameterized commands (2..12)")
+                        help="weight cap for relations, lk and verify (2..12)")
     common.add_argument("--precision", type=float, default=1e-8,
                         help="numeric verification tolerance (1e-12..1e-4)")
     common.add_argument("--use-cr", action="store_true",
                         help="inject the closed-form Re(Li) relations at odd weights")
-    common.add_argument("--parallel", action="store_true",
-                        help="expand zeta rows with a thread pool")
 
     p = argparse.ArgumentParser(prog="lsi", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -318,8 +320,7 @@ def _cache_file() -> str | None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = CliConfig(max_weight=args.max_weight, precision=args.precision,
-                    output_format=args.format, parallel_rows=args.parallel,
-                    use_cr_relations=args.use_cr)
+                    output_format=args.format, use_cr_relations=args.use_cr)
     try:
         cfg.validate()
         cache = _cache_file()
@@ -327,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     use_li_cache(cache)
+    # progress goes to this call's stderr, only where a command raises the
+    # level; the logger is left as it was found
+    handler, level = logging.StreamHandler(sys.stderr), _LOG.level
+    _LOG.addHandler(handler)
+    _LOG.setLevel(logging.WARNING)
     try:
         out = args.func(args, cfg)
     except CliError as exc:
@@ -335,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    finally:
+        _LOG.removeHandler(handler)
+        _LOG.setLevel(level)
     print(out)
     if cache:
         try:

@@ -52,8 +52,6 @@ import contextlib
 import json
 import os
 import sys
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -64,19 +62,6 @@ from .indices import Index, dual, truncate
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
-_LOCK = threading.RLock()
-
-
-@dataclass(frozen=True)
-class PolylogExpansion:
-    """An index paired with its canonical log-sine expansion."""
-
-    index: Index
-    expr: LsiExpr
-
-    def __post_init__(self):
-        if any(m.weight != self.index.weight for m in self.expr.monomials()):
-            raise ValueError("expansion is not weight-homogeneous with its index")
 
 
 def _inner_factor_terms(e: int):
@@ -156,19 +141,11 @@ def li_expand(k: Index) -> LsiExpr:
     """Canonical log-sine expansion of Li_k at e^{i pi/3}; any index allowed."""
     e = _LI_CACHE.get(k)
     if e is None:
-        with _LOCK:
-            e = _LI_CACHE.get(k)
-            if e is None:
-                e = _from_disk(k)
-                if e is None:
-                    e = _li_expand_uncached(k)
-                _LI_CACHE[k] = e
+        e = _from_disk(k)
+        if e is None:
+            e = _li_expand_uncached(k)
+        _LI_CACHE[k] = e
     return e
-
-
-def polylog_expansion(k: Index) -> PolylogExpansion:
-    """The expansion of Li_k bundled with its index."""
-    return PolylogExpansion(k, li_expand(k))
 
 
 def zeta_expr(k: Index) -> LsiExpr:
@@ -187,10 +164,8 @@ def zeta_expr(k: Index) -> LsiExpr:
     kd = dual(k)
     first, *rest = ((li_expand(truncate(k, m)), conjugate(li_expand(truncate(kd, w - m))))
                     for m in range(w + 1))
-    total = multiply(*first, *rest)
-    with _LOCK:
-        _ZETA_CACHE[k] = total
-    return total
+    e = _ZETA_CACHE[k] = multiply(*first, *rest)
+    return e
 
 
 def mgl_value(a: int, b: int) -> Fraction:
@@ -208,13 +183,6 @@ def mgl_value(a: int, b: int) -> Fraction:
     if len(terms) != 1 or not terms[0][0].is_pure or terms[0][0].pi_pow != w:
         raise ArithmeticError(f"expected a single pure pi^{w} term, got {e}")
     return terms[0][1].re
-
-
-def weight1_proposition_expr(a: int, b: int) -> LsiExpr:
-    """Zeta expression of ({1}^(a-1), b+1); every monomial has depth <= 1."""
-    if a < 1 or b < 1:
-        raise ValueError("positive integers required")
-    return zeta_expr(Index((1,) * (a - 1) + (b + 1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +204,8 @@ def use_li_cache(path: str | None) -> None:
     needs no expansion never reads it.  ``None`` detaches the file.
     """
     global _CACHE_PATH, _DISK
-    with _LOCK:
-        if path != _CACHE_PATH:
-            _CACHE_PATH, _DISK = path, None
+    if path != _CACHE_PATH:
+        _CACHE_PATH, _DISK = path, None
 
 
 def _entry_digest(key: str, text: str) -> str:
@@ -295,7 +262,7 @@ def _decode_entry(key: str, entry, weight: int) -> LsiExpr:
 
 
 def _from_disk(k: Index) -> LsiExpr | None:
-    """The expansion of ``k`` stored in the cache file, or None; call with _LOCK held."""
+    """The expansion of ``k`` stored in the cache file, or None."""
     if _CACHE_PATH is None:
         return None
     if _DISK is None:
@@ -321,10 +288,8 @@ def load_li_cache(path: str) -> int:
     or one of another format, costs one stderr line and counts as empty.
     """
     global _CACHE_PATH, _DISK
-    entries = _read_entries(path)
-    with _LOCK:
-        _CACHE_PATH, _DISK = path, entries
-    return len(entries)
+    _CACHE_PATH, _DISK = path, _read_entries(path)
+    return len(_DISK)
 
 
 def save_li_cache(path: str) -> int:
@@ -338,38 +303,36 @@ def save_li_cache(path: str) -> int:
     from .serialize import expr_to_json
 
     global _DISK
-    with _LOCK:
-        if not _LI_CACHE:
-            return 0
-        if path != _CACHE_PATH or _DISK is None:
-            load_li_cache(path)
-        added = {}
-        for k, e in _LI_CACHE.items():
-            key = str(k)
-            if key not in _DISK:
-                text = json.dumps(expr_to_json(e), separators=(",", ":"))
-                added[key] = {"sha256": _entry_digest(key, text), "expr": text}
-        if not added:
-            return 0
-        entries = {**_DISK, **added}
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        _DISK = entries
+    if not _LI_CACHE:
+        return 0
+    if path != _CACHE_PATH or _DISK is None:
+        load_li_cache(path)
+    added = {}
+    for k, e in _LI_CACHE.items():
+        key = str(k)
+        if key not in _DISK:
+            text = json.dumps(expr_to_json(e), separators=(",", ":"))
+            added[key] = {"sha256": _entry_digest(key, text), "expr": text}
+    if not added:
+        return 0
+    entries = {**_DISK, **added}
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    _DISK = entries
     return len(added)
 
 
 def clear_caches() -> None:
     """Empty the memos and forget the cache file and its parsed entries."""
     global _CACHE_PATH, _DISK
-    with _LOCK:
-        _LI_CACHE.clear()
-        _ZETA_CACHE.clear()
-        _CACHE_PATH = _DISK = None
+    _LI_CACHE.clear()
+    _ZETA_CACHE.clear()
+    _CACHE_PATH = _DISK = None

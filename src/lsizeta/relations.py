@@ -24,12 +24,13 @@ The relation pipeline for a weight w:
    returned cleared to coprime integers with a deterministic sign.
 
 All arithmetic is exact (``fractions.Fraction``); echelon forms are fully
-reduced with unit pivots.
+reduced with unit pivots.  Each zeta row built for a matrix logs
+``expanded i/n (weight w)`` at INFO on the ``lsizeta.relations`` logger.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,6 +48,7 @@ from .polylog import li_expand, zeta_expr
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +179,6 @@ class RationalMatrix:
             list(self.col_labels))
 
 
-def rref(m: RationalMatrix) -> RationalMatrix:
-    return m.rref()
-
-
 def same_rowspace(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Rowspace equality via the canonical reduced echelon form."""
     ra = [row for row in a.rref().rows if any(row)]
@@ -201,36 +199,30 @@ def _expr_row(e: LsiExpr, basis: MonomialBasis, pos: dict[LsiMonomial, int]) -> 
     return row
 
 
-def _zeta_rows(indices: list[Index], parallel: bool = False,
-               progress=None) -> list[LsiExpr]:
-    if parallel and len(indices) > 1:
-        with ThreadPoolExecutor() as pool:
-            exprs = list(pool.map(zeta_expr, indices))
-    else:
-        exprs = []
-        for i, k in enumerate(indices):
-            exprs.append(zeta_expr(k))
-            if progress is not None:
-                progress(f"expanded {i + 1}/{len(indices)} (weight {k.weight})")
+def _zeta_rows(indices: list[Index]) -> list[LsiExpr]:
+    exprs = []
+    for i, k in enumerate(indices):
+        exprs.append(zeta_expr(k))
+        _LOG.info("expanded %d/%d (weight %d)", i + 1, len(indices), k.weight)
     return exprs
 
 
-def re_matrix(w: int, parallel: bool = False, progress=None) -> RationalMatrix:
+def re_matrix(w: int) -> RationalMatrix:
     """Real parts of weight-w zeta expressions over the matching-parity basis."""
     indices = dedupe_by_duality(enumerate_admissible(w))
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
-    exprs = _zeta_rows(indices, parallel, progress)
+    exprs = _zeta_rows(indices)
     rows = [_expr_row(real_part(e), basis, pos) for e in exprs]
     return RationalMatrix(rows, list(indices), list(basis.monomials))
 
 
-def im_matrix(w: int, parallel: bool = False, progress=None) -> RationalMatrix:
+def im_matrix(w: int) -> RationalMatrix:
     """Imaginary parts of weight-w zeta expressions (self-dual rows dropped)."""
     indices = dedupe_by_duality(enumerate_admissible(w), drop_self_dual=True)
     basis = build_basis(w, _parity_name(w + 1))
     pos = basis.position()
-    exprs = _zeta_rows(indices, parallel, progress)
+    exprs = _zeta_rows(indices)
     rows = [_expr_row(imag_part(e), basis, pos) for e in exprs]
     return RationalMatrix(rows, list(indices), list(basis.monomials))
 
@@ -258,8 +250,7 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     return RationalMatrix([row], [f"cr:{k}"], list(basis.monomials))
 
 
-def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
-                     parallel: bool = False, progress=None) -> RationalMatrix:
+def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
     """All relation rows among the weight-w matching-parity monomials.
 
     ``im_depth`` controls how many higher weights are mined: for j in
@@ -279,7 +270,7 @@ def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
     for j in range(im_depth):
         src_w = w + 1 + 2 * j
         div = 1 + 2 * j
-        src = im_matrix(src_w, parallel, progress)
+        src = im_matrix(src_w)
         ech = src.rref()
         for row, pc in zip(ech.rows[: len(ech.pivot_cols)], ech.pivot_cols):
             if src.col_labels[pc].pi_pow < div:
@@ -297,7 +288,7 @@ def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
     while w - 1 - 2 * m >= 3:  # equivalently 0 <= m <= (w-4)/2
         src_w = w - 1 - 2 * m
         lift = 1 + 2 * m
-        src = im_matrix(src_w, parallel, progress)
+        src = im_matrix(src_w)
         for row in src.rref().nonzero_rows():
             out = [_ZERO] * len(basis)
             for c, val in enumerate(row):
@@ -338,20 +329,19 @@ def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMat
     return out
 
 
-def reduce_mzv_matrix(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
-                      parallel: bool = False, progress=None) -> RationalMatrix:
+def reduce_mzv_matrix(w: int, im_depth: int = 1,
+                      use_cr: tuple[int, ...] = ()) -> RationalMatrix:
     """Real matrix of weight w after substituting all known monomial relations."""
-    base = re_matrix(w, parallel, progress)
-    rels = ls_relations_for(w, im_depth, use_cr, parallel, progress)
+    base = re_matrix(w)
+    rels = ls_relations_for(w, im_depth, use_cr)
     if not rels.rows:
         return base
     return _eliminate(base, rels)
 
 
-def compute_lk(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
-               parallel: bool = False, progress=None) -> int:
+def compute_lk(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) -> int:
     """Upper bound for the dimension of the weight-w zeta span."""
-    return reduce_mzv_matrix(w, im_depth, use_cr, parallel, progress).rank
+    return reduce_mzv_matrix(w, im_depth, use_cr).rank
 
 
 def reduce_real_expr(e: LsiExpr, w: int, im_depth: int = 1,
@@ -403,15 +393,15 @@ def _normalize_relation(pairs: list[tuple[Index, Fraction]]) -> MzvRelation:
     return MzvRelation(tuple(ints))
 
 
-def mzv_relations(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = (),
-                  parallel: bool = False, progress=None) -> list[MzvRelation]:
+def mzv_relations(w: int, im_depth: int = 1,
+                  use_cr: tuple[int, ...] = ()) -> list[MzvRelation]:
     """Independent Q-linear relations among the weight-w zeta representatives.
 
     Row-reduce the relation-reduced real matrix augmented with an identity
     block tracking the zeta combination of each row; rows whose monomial part
     vanishes entirely are relations.
     """
-    reduced = reduce_mzv_matrix(w, im_depth, use_cr, parallel, progress)
+    reduced = reduce_mzv_matrix(w, im_depth, use_cr)
     n = reduced.nrows
     nc = reduced.ncols
     aug = RationalMatrix(

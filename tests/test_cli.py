@@ -1,10 +1,13 @@
 import json
+import logging
+import re
 
 import pytest
 
 from lsizeta import polylog
 from lsizeta.cli import main
 from lsizeta.indices import Index
+from lsizeta.relations import re_matrix
 from lsizeta.serialize import expr_from_json, expr_to_json
 
 
@@ -51,6 +54,10 @@ class TestBasicCommands:
     def test_basis(self, capsys):
         code, out, _ = run(capsys, "basis", "2", "odd")
         assert code == 0 and out == "Ls[2]^(0)"
+
+    def test_basis_is_not_capped_by_max_weight(self, capsys):
+        code, out, _ = run(capsys, "basis", "9", "odd")
+        assert code == 0 and len(out.splitlines()) == 128
 
     def test_lk_table(self, capsys):
         code, out, _ = run(capsys, "lk", "6")
@@ -202,8 +209,25 @@ class TestCacheEnv:
         assert "not a directory" in json.loads(err.splitlines()[-1])["error"]
 
 
-class TestParallel:
-    def test_parallel_rows_match_serial(self, capsys):
-        code1, out1, _ = run(capsys, "relations", "5", "--parallel")
-        code2, out2, _ = run(capsys, "relations", "5")
-        assert code1 == code2 == 0 and out1 == out2
+class TestProgress:
+    def test_lk8_reports_each_row_and_lk7_stays_quiet(self, capsys):
+        code, out, err = run(capsys, "lk", "8")
+        assert code == 0 and out.splitlines()[-1] == "8 4"
+        lines = err.splitlines()
+        assert lines
+        assert all(re.fullmatch(r"expanded \d+/\d+ \(weight \d+\)", line) for line in lines)
+        assert "expanded 36/36 (weight 8)" in lines
+        # main leaves the logger as it found it
+        logger = logging.getLogger("lsizeta")
+        assert not logger.handlers and logger.level == logging.NOTSET
+        code, _, err = run(capsys, "lk", "7")
+        assert code == 0 and err == ""
+
+    def test_library_reports_only_when_the_logger_is_enabled(self, capsys, caplog):
+        re_matrix(5)
+        assert capsys.readouterr().err == "" and not caplog.records
+        with caplog.at_level(logging.INFO, logger="lsizeta"):
+            re_matrix(5)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"expanded {i}/4 (weight 5)" for i in range(1, 5)]
+        assert capsys.readouterr().err == ""

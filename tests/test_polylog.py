@@ -9,15 +9,12 @@ from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, real_par
 from lsizeta.gaussian import GaussianRational
 from lsizeta.indices import Index, dual, enumerate_admissible
 from lsizeta.polylog import (
-    PolylogExpansion,
     clear_caches,
     li_expand,
     load_li_cache,
     mgl_value,
-    polylog_expansion,
     save_li_cache,
     use_li_cache,
-    weight1_proposition_expr,
     zeta_expr,
 )
 from lsizeta.serialize import expr_to_json
@@ -148,33 +145,37 @@ class TestMgl:
         assert mgl_value(a, b) == expected
 
 
+def weight1_index(a: int, b: int) -> Index:
+    # ({1}^(a-1), b+1), the index of the weight-one proposition
+    return Index((1,) * (a - 1) + (b + 1,))
+
+
 class TestWeightOneProposition:
     def test_small_cases(self):
-        assert weight1_proposition_expr(1, 1) == zeta_expr(Index((2,)))
-        assert weight1_proposition_expr(1, 2) == zeta_expr(Index((3,)))
+        assert weight1_index(1, 1) == Index((2,))
+        assert weight1_index(1, 2) == Index((3,))
 
     def test_dual_pair_agrees(self):
         # zeta(1,2) and zeta(3) have the same real expression; the imaginary
         # parts are mirror relations (conjugate expressions)
-        e12 = weight1_proposition_expr(2, 1)
+        e12 = zeta_expr(weight1_index(2, 1))
         e3 = zeta_expr(Index((3,)))
         assert real_part(e12) == real_part(e3)
         assert e12 == conjugate(e3)
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3)])
     def test_depth_at_most_one(self, a, b):
-        e = weight1_proposition_expr(a, b)
+        e = zeta_expr(weight1_index(a, b))
         assert e.max_depth() <= 1
 
 
 class TestPolylogExpansion:
-    def test_bundle(self):
-        pe = polylog_expansion(Index((1, 2)))
-        assert pe.index == Index((1, 2)) and pe.expr == li_expand(Index((1, 2)))
-
-    def test_rejects_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            PolylogExpansion(Index((2,)), li_expand(Index((3,))))
+    def test_weight_homogeneous(self):
+        for parts in [(1,), (1, 2), (2, 1, 3), (1, 1, 1, 2)]:
+            k = Index(parts)
+            e = li_expand(k)
+            assert e.terms()
+            assert all(m.weight == k.weight for m in e.monomials()), k
 
 
 @pytest.mark.usefixtures("fresh_caches")

@@ -19,7 +19,6 @@ from lsizeta.relations import (
     re_matrix,
     reduce_mzv_matrix,
     reduce_real_expr,
-    rref,
     same_rowspace,
 )
 from lsizeta.relations import _expr_row  # declared error surface
@@ -152,7 +151,7 @@ class TestZetaMatrices:
 class TestRref:
     def test_identity(self):
         eye = RationalMatrix(fr([["1", "0"], ["0", "1"]]))
-        assert rref(eye).rows == eye.rows
+        assert eye.rref().rows == eye.rows
 
     def test_published_weight6_echelon(self):
         got = permute_to(im_matrix(6), W6_ROWS, W6_COLS).rref()
