@@ -170,12 +170,22 @@ class TestWeightOneProposition:
 
 
 class TestPolylogExpansion:
-    def test_weight_homogeneous(self):
+    def test_bundle(self):
+        # an index and its expansion agree in weight, monomial by monomial
         for parts in [(1,), (1, 2), (2, 1, 3), (1, 1, 1, 2)]:
             k = Index(parts)
             e = li_expand(k)
             assert e.terms()
             assert all(m.weight == k.weight for m in e.monomials()), k
+
+    def test_rejects_weight_mismatch(self):
+        # an expansion is accepted for an index only at the index's weight
+        text = json.dumps(expr_to_json(li_expand(Index((3,)))), separators=(",", ":"))
+        entry = {"sha256": polylog._entry_digest("2", text), "expr": text}
+        good = {**entry, "sha256": polylog._entry_digest("3", text)}
+        assert polylog._decode_entry("3", good, 3) == li_expand(Index((3,)))
+        with pytest.raises(ValueError, match="not of weight 2"):
+            polylog._decode_entry("2", entry, 2)
 
 
 @pytest.mark.usefixtures("fresh_caches")
