@@ -23,9 +23,9 @@ The relation pipeline for a weight w:
    explicit Q-linear relations among the zeta values; coefficients are
    returned cleared to coprime integers with a deterministic sign.
 
-All arithmetic is exact (``fractions.Fraction``); echelon forms are fully
-reduced with unit pivots.  Each zeta row built for a matrix logs
-``expanded i/n (weight w)`` at INFO on the ``lsizeta.relations`` logger.
+Entries are ``fractions.Fraction``, row-reduced exactly on rows cleared to
+integers; echelon forms are fully reduced with unit pivots.  Each zeta row built
+for a matrix logs ``expanded i/n (weight w)`` at INFO on ``lsizeta.relations``.
 """
 
 from __future__ import annotations
@@ -115,6 +115,38 @@ def _parity_name(n: int) -> str:
 # ---------------------------------------------------------------------------
 # exact rational matrices
 
+def _fraction_free(rows: list[list[Fraction]], npivot: int):
+    """Fraction-free Gauss-Jordan elimination (after Bareiss 1968): clear rows
+    to integers; clear each column nonzero in an unused row among the
+    first ``npivot`` from all others by ``row = (pv/g)*row - (f/g)*pivot_row``
+    and division by the row content.  Returns the integer rows, pivot rows
+    first, and the pivot columns."""
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, npivot) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * x - b * y for x, y in zip(row, m[r])]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        if len(pivots) == npivot:
+            break
+    return m, pivots
+
+
 @dataclass
 class RationalMatrix:
     """Dense matrix of Fractions with optional row/column labels."""
@@ -138,34 +170,18 @@ class RationalMatrix:
 
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form: unit pivots, zeros above and below."""
-        m = [row[:] for row in self.rows]
-        nr = len(m)
-        nc = len(m[0]) if m else 0
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            pr = next((i for i in range(r, nr) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return RationalMatrix(m, [None] * nr, list(self.col_labels), tuple(pivots))
+        m, pivots = _fraction_free(self.rows, self.nrows)
+        rows = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+                for row, c in zip(m, pivots)]
+        rows += [[_ZERO] * len(row) for row in m[len(pivots):]]
+        return RationalMatrix(rows, [None] * self.nrows, list(self.col_labels),
+                              tuple(pivots))
 
     @property
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(self.rref().pivot_cols)
+        return len(_fraction_free(self.rows, self.nrows)[1])
 
     def nonzero_rows(self) -> list[list[Fraction]]:
         return [row for row in self.rows if any(row)]
@@ -317,16 +333,12 @@ def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) ->
 
 def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMatrix:
     """Zero the relation pivot columns of ``matrix`` by exact substitution."""
-    ech = relations.rref()
-    out = matrix.copy()
-    for rrow, pc in zip(ech.rows[: len(ech.pivot_cols)], ech.pivot_cols):
-        for row in out.rows:
-            f = row[pc]
-            if f:
-                for c in range(len(row)):
-                    if rrow[c]:
-                        row[c] -= f * rrow[c]
-    return out
+    # a last column, 1 on matrix rows and 0 on relations, carries each row's scale
+    m, _ = _fraction_free([row + [_ZERO] for row in relations.rows]
+                          + [row + [_ONE] for row in matrix.rows], relations.nrows)
+    rows = [[Fraction(x, row[-1]) if x else _ZERO for x in row[:-1]]
+            for row in m[relations.nrows:]]
+    return RationalMatrix(rows, list(matrix.row_labels), list(matrix.col_labels))
 
 
 def reduce_mzv_matrix(w: int, im_depth: int = 1,
@@ -340,8 +352,11 @@ def reduce_mzv_matrix(w: int, im_depth: int = 1,
 
 
 def compute_lk(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) -> int:
-    """Upper bound for the dimension of the weight-w zeta span."""
-    return reduce_mzv_matrix(w, im_depth, use_cr).rank
+    """Upper bound for the dimension of the weight-w zeta span: the rank of
+    ``reduce_mzv_matrix(w)``, which is zero on the relation pivots, so equals
+    rank([re; rels]) - rank(rels)."""
+    rels = ls_relations_for(w, im_depth, use_cr)
+    return re_matrix(w).stack(rels).rank - rels.rank
 
 
 def reduce_real_expr(e: LsiExpr, w: int, im_depth: int = 1,

@@ -1,17 +1,23 @@
-"""The integer expansion kernels against a per-term ``Fraction`` witness.
+"""The integer kernels against ``Fraction`` and modular witnesses.
 
 ``algebra`` and ``polylog`` sum integer numerators over one common denominator.
 The functions below are the earlier per-term ``Fraction`` formulation of the
 same kernels, kept here only as an independent reference: every term is a
 ``GaussianRational`` and every step takes a gcd.  They share nothing with the
 library but the shuffle interleavings and the single reduction step.
+
+``relations`` row-reduces over the integers.  ``ref_rref`` and
+``ref_eliminate`` are the earlier ``Fraction`` Gauss-Jordan loop and
+substitution, and ``mod_rank`` is an independent rank over two 31-bit primes.
 """
 
+import os
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsizeta.algebra import (
@@ -27,6 +33,15 @@ from lsizeta.algebra import (
 from lsizeta.gaussian import GaussianRational, i_power
 from lsizeta.indices import dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
+from lsizeta.relations import (
+    RationalMatrix,
+    _eliminate,
+    compute_lk,
+    im_matrix,
+    ls_relations_for,
+    re_matrix,
+    reduce_mzv_matrix,
+)
 
 STRATEGIES = ("leftmost", "rightmost")
 
@@ -256,3 +271,176 @@ def test_multiply_matches_witness(a, b):
 @given(exprs(2, 3), exprs(2, 3), exprs(2, 3), exprs(2, 3))
 def test_further_pairs_add_their_products(a, b, c, d):
     assert multiply(a, b, (c, d)) == multiply(a, b) + multiply(c, d)
+
+
+# ---------------------------------------------------------------------------
+# row reduction against the Fraction Gauss-Jordan loop
+
+
+def ref_rref(rows):
+    """Reduced row echelon form, one ``Fraction`` operation per entry."""
+    m = [row[:] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, tuple(pivots)
+
+
+def ref_eliminate(rows, relations):
+    """Subtract from each row the echelon relation rows that clear their pivots."""
+    ech, pivots = ref_rref(relations)
+    out = [row[:] for row in rows]
+    for rrow, pc in zip(ech, pivots):
+        for row in out:
+            f = row[pc]
+            if f:
+                for c in range(len(row)):
+                    if rrow[c]:
+                        row[c] -= f * rrow[c]
+    return out
+
+
+def assert_rref_matches(matrix):
+    got = matrix.rref()
+    rows, pivots = ref_rref(matrix.rows)
+    assert got.pivot_cols == pivots
+    assert got.rows == rows
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+    assert matrix.rank == len(pivots)
+
+
+def mzv_augmented(w):
+    """The matrix ``mzv_relations(w)`` row-reduces: reduced rows beside an identity."""
+    reduced = reduce_mzv_matrix(w)
+    n = reduced.nrows
+    return RationalMatrix([row + [Fraction(int(i == j)) for j in range(n)]
+                           for i, row in enumerate(reduced.rows)])
+
+
+@pytest.mark.parametrize("build,w", [
+    *(pytest.param(im_matrix, w, id=f"im{w}") for w in range(3, 10)),
+    *(pytest.param(re_matrix, w, id=f"re{w}") for w in range(2, 9)),
+    *(pytest.param(ls_relations_for, w, id=f"rels{w}") for w in range(2, 9)),
+    *(pytest.param(mzv_augmented, w, id=f"mzv{w}") for w in range(2, 8)),
+])
+def test_rref_matches_witness(build, w):
+    assert_rref_matches(build(w))
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_eliminate_matches_witness(w):
+    base, rels = re_matrix(w), ls_relations_for(w)
+    got = _eliminate(base, rels)
+    assert got.rows == ref_eliminate(base.rows, rels.rows)
+    assert got.row_labels == base.row_labels and got.col_labels == base.col_labels
+
+
+big_rationals = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40))
+entries = st.one_of(st.just(Fraction(0)), big_rationals,
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def rational_matrices(draw, nc=None):
+    nr = draw(st.integers(1, 6))
+    nc = nc or draw(st.integers(1, 7))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(draw(st.integers(0, 2))):  # repeated and scaled rows
+        row = draw(st.sampled_from(rows))
+        f = draw(big_rationals)
+        rows.insert(draw(st.integers(0, len(rows))), [f * x for x in row])
+    return rows
+
+
+ZERO3x4 = [[Fraction(0)] * 4 for _ in range(3)]
+ROW = [[Fraction(3, 2**40), Fraction(0), Fraction(-5, 7)]]
+COL = [[Fraction(0)], [Fraction(2, 2**40 - 1)], [Fraction(-4)]]
+DUP = [[Fraction(1, 3), Fraction(2)], [Fraction(1, 3), Fraction(2)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example(ZERO3x4).via("all-zero")
+@example(ROW).via("1xn")
+@example(COL).via("nx1")
+@example(DUP).via("duplicated rows")
+def test_rref_matches_witness_on_random_matrices(rows):
+    assert_rref_matches(RationalMatrix(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda nc: st.tuples(rational_matrices(nc),
+                                                      rational_matrices(nc))))
+@example((ZERO3x4, ZERO3x4)).via("all-zero")
+@example((ROW, ROW)).via("1xn")
+@example((COL, COL)).via("nx1")
+def test_eliminate_matches_witness_on_random_matrices(pair):
+    rows, relations = pair
+    got = _eliminate(RationalMatrix(rows), RationalMatrix(relations))
+    assert got.rows == ref_eliminate(rows, relations)
+
+
+# ---------------------------------------------------------------------------
+# ranks against an independent rank modulo two 31-bit primes
+
+PRIMES = (2_147_483_647, 2_147_483_629)
+
+STRETCH = pytest.mark.skipif(os.environ.get("LSIZETA_STRETCH") == "0",
+                             reason="stretch tier disabled")
+
+
+def mod_rank(rows, p):
+    """Rank over GF(p) of rational rows, each first cleared to integers."""
+    if not rows:
+        return 0
+    ints = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (d // x.denominator) % p for x in row])
+    a = np.array(ints, dtype=np.int64)
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, c])
+        if not nz.size:
+            continue
+        a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        # entries stay below p < 2**31, so each product fits in int64
+        a[rank + 1:] = (a[rank + 1:] - a[rank + 1:, c:c + 1] * a[rank] % p) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def assert_rank_matches(matrix):
+    assert {mod_rank(matrix.rows, p) for p in PRIMES} == {matrix.rank}
+
+
+@pytest.mark.parametrize("w", [*range(2, 10), pytest.param(10, marks=STRETCH)])
+def test_lk_matches_modular_rank(w):
+    base, rels = re_matrix(w), ls_relations_for(w)
+    lk = compute_lk(w)
+    for p in PRIMES:
+        assert mod_rank(base.rows + rels.rows, p) - mod_rank(rels.rows, p) == lk
+        if w < 10:  # the substitution path; at weight 10 it would redo im(11)
+            assert mod_rank(reduce_mzv_matrix(w).rows, p) == lk
+    for matrix in (base, rels, base.stack(rels), im_matrix(w)):
+        assert_rank_matches(matrix)

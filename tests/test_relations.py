@@ -241,6 +241,13 @@ class TestReduceAndRank:
     def test_lk_small_weights(self, w, expected):
         assert compute_lk(w) == expected
 
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_lk_from_ranks_matches_substitution(self, w):
+        assert compute_lk(w) == reduce_mzv_matrix(w).rank
+        if w % 2:
+            cr = tuple(range(1, (w - 1) // 2 + 1))
+            assert compute_lk(w, use_cr=cr) == reduce_mzv_matrix(w, use_cr=cr).rank
+
     def test_reduce_real_expr_dual_of_weight4(self):
         # zeta(1,1,2) is not a representative; reduce its expression directly
         e = reduce_real_expr(real_part(zeta_expr(Index((1, 1, 2)))), 4)
