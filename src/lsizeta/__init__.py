@@ -1,7 +1,8 @@
 """Exact log-sine integral algebra at pi/3 and zeta relation discovery.
 
-The package expresses multiple zeta values as exact Q(i)-linear combinations
-of iterated log-sine integral monomials at pi/3, mines the vanishing
+The package expresses multiple zeta values as exact linear combinations of
+iterated log-sine integral monomials at pi/3, with coefficients i^q times
+rationals (the phase convention of ``lsizeta.algebra``), mines the vanishing
 imaginary parts for linear relations among the monomials, and row-reduces the
 resulting rational matrices to recover closed forms, explicit Q-linear zeta
 relations and the rank bound l_w on the dimension of each weight class.  A
@@ -19,7 +20,6 @@ from .algebra import (
     reduce_at,
     shuffle,
 )
-from .gaussian import GaussianRational
 from .indices import Index, dedupe_by_duality, dual, enumerate_admissible, truncate
 from .oracle import (
     NumericConfig,
@@ -50,7 +50,6 @@ from .relations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational",
     "Index",
     "LsiExpr",
     "LsiMonomial",

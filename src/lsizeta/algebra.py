@@ -3,7 +3,14 @@
 The basic symbol is a monomial ``pi^m * Ls_{k1,...,kn}^{(l1,...,ln)}(pi/3)``
 carrying a nonnegative pi-power and paired exponent vectors with
 ``k_u - 1 - l_u >= 0`` at every position (the number of log-factors in the
-integrand).  Expressions are finite Q(i)-linear combinations of monomials.
+integrand).  Expressions are finite Q(i)-linear combinations of monomials
+stored with one rational per monomial and one phase bit t per expression:
+the coefficient of m is r when ``m.phase + t`` is even and i*r when it is odd,
+``m.phase`` = q = depth + pi-power + sum l.  Shuffles and reductions keep q and
+products add it, so the bit survives the whole algebra: a plain monomial has
+t = q mod 2 (a real coefficient), the polylogarithm and zeta expansions have
+t = 0 (every coefficient i^q times a rational), a product XORs its factors'
+bits, and expressions with different bits can only be added when one is zero.
 
 Three rewriting operations generate the whole algebra:
 
@@ -23,7 +30,7 @@ is commutative and associative.  Canonical forms and products of monomials
 are cached as integer tables (n/d per monomial) keyed by the column vectors,
 since the zeta-expression pipeline multiplies the same monomial shapes many
 times over.  The kernels sum integer numerators over the lcm of all terms'
-denominators and build one ``Fraction`` per output coefficient part; given
+denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
 """
 
@@ -35,12 +42,8 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator
 
-from .gaussian import GR_ONE, GaussianRational
-
 Cols = tuple[tuple[int, int], ...]
 Table = tuple[int, tuple[tuple[tuple, int], ...]]  # n/d per monomial (pi_pow, ks, ls)
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,18 +115,24 @@ def monomial_from_cols(pi_pow: int, cols: Cols) -> LsiMonomial:
 
 
 class LsiExpr:
-    """Immutable finite map monomial -> Gaussian rational, no zero terms."""
+    """Immutable finite map monomial -> nonzero rational, plus the phase bit
+    ``t`` of the module docstring (0 for the zero expression)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "t")
 
-    def __init__(self, terms: dict[LsiMonomial, GaussianRational] | None = None,
+    def __init__(self, terms: dict[LsiMonomial, Fraction] | None = None, t: int = 0,
                  _trusted: bool = False):
         if terms is None:
-            self._terms: dict[LsiMonomial, GaussianRational] = {}
+            self._terms: dict[LsiMonomial, Fraction] = {}
         elif _trusted:
             self._terms = terms
         else:
-            self._terms = {m: c for m, c in terms.items() if c}
+            if any(isinstance(c, float) for c in terms.values()):
+                raise TypeError("coefficients are exact rationals, not floats")
+            self._terms = {m: Fraction(c) for m, c in terms.items() if c}
+        if t not in (0, 1):
+            raise ValueError("the phase bit is 0 or 1")
+        self.t = t if self._terms else 0
 
     @classmethod
     def zero(cls) -> "LsiExpr":
@@ -131,19 +140,20 @@ class LsiExpr:
 
     @classmethod
     def unit(cls) -> "LsiExpr":
-        return cls({LsiMonomial(): GR_ONE}, _trusted=True)
+        return cls({LsiMonomial(): Fraction(1)}, _trusted=True)
 
     @classmethod
-    def of_monomial(cls, m: LsiMonomial, coeff=GR_ONE) -> "LsiExpr":
-        c = coeff if isinstance(coeff, GaussianRational) else GaussianRational.of(coeff)
-        return cls({m: c})
+    def of_monomial(cls, m: LsiMonomial, coeff=1) -> "LsiExpr":
+        """``coeff`` (a rational) times ``m``."""
+        return cls({m: coeff}, m.phase % 2)
 
-    def terms(self) -> list[tuple[LsiMonomial, GaussianRational]]:
-        """Terms in the canonical monomial order (deterministic)."""
+    def terms(self) -> list[tuple[LsiMonomial, Fraction]]:
+        """(monomial, r) in the canonical monomial order (deterministic)."""
         return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
 
-    def coeff(self, m: LsiMonomial) -> GaussianRational:
-        return self._terms.get(m, GaussianRational())
+    def is_imag(self, m: LsiMonomial) -> bool:
+        """Whether the coefficient of ``m`` is i times its rational."""
+        return bool((m.phase + self.t) % 2)
 
     def monomials(self) -> Iterator[LsiMonomial]:
         return iter(self._terms)
@@ -155,12 +165,17 @@ class LsiExpr:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LsiExpr) and self._terms == other._terms
+        return (isinstance(other, LsiExpr) and self.t == other.t
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.t, frozenset(self._terms.items())))
 
     def __add__(self, other: "LsiExpr") -> "LsiExpr":
+        if not self._terms:
+            return other
+        if other._terms and other.t != self.t:
+            raise ValueError("terms of different phase bits have no common representation")
         out = dict(self._terms)
         for m, c in other._terms.items():
             s = out.get(m)
@@ -169,23 +184,20 @@ class LsiExpr:
                 out[m] = s
             elif m in out:
                 del out[m]
-        return LsiExpr(out, _trusted=True)
+        return LsiExpr(out, self.t, _trusted=True)
 
     def __neg__(self) -> "LsiExpr":
-        return LsiExpr({m: -c for m, c in self._terms.items()}, _trusted=True)
+        return LsiExpr({m: -c for m, c in self._terms.items()}, self.t, _trusted=True)
 
     def __sub__(self, other: "LsiExpr") -> "LsiExpr":
         return self + (-other)
 
     def scaled(self, c) -> "LsiExpr":
-        if isinstance(c, GaussianRational):
-            if not c:
-                return LsiExpr()
-            return LsiExpr({m: v * c for m, v in self._terms.items()})
+        """The expression times the rational ``c``."""
         c = Fraction(c)
         if not c:
             return LsiExpr()
-        return LsiExpr({m: v.scale(c) for m, v in self._terms.items()}, _trusted=True)
+        return LsiExpr({m: v * c for m, v in self._terms.items()}, self.t, _trusted=True)
 
     def is_weight_homogeneous(self) -> bool:
         weights = {m.weight for m in self._terms}
@@ -203,7 +215,8 @@ class LsiExpr:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*{m}" for m, c in self.terms())
+        return " + ".join(f"({c}{'*i' if self.is_imag(m) else ''})*{m}"
+                          for m, c in self.terms())
 
     __repr__ = __str__
 
@@ -238,12 +251,12 @@ def shuffle(a: LsiMonomial, b: LsiMonomial) -> LsiExpr:
     add onto every term.
     """
     pi = a.pi_pow + b.pi_pow
-    acc: dict[LsiMonomial, GaussianRational] = {}
+    acc: dict[LsiMonomial, int] = {}
     for cols in _interleavings(a.cols(), b.cols()):
         m = monomial_from_cols(pi, cols)
-        s = acc.get(m)
-        acc[m] = GR_ONE if s is None else s + GR_ONE
-    return LsiExpr(acc, _trusted=True)
+        acc[m] = acc.get(m, 0) + 1
+    return LsiExpr({m: Fraction(n) for m, n in acc.items()}, (a.phase + b.phase) % 2,
+                   _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -278,75 +291,61 @@ def reduce_at(m: LsiMonomial, j: int) -> LsiExpr:
     """Apply the depth-lowering rule to ``m`` at 1-based position ``j``."""
     if not 1 <= j <= m.depth or m.ks[j - 1] - 1 - m.ls[j - 1] != 0:
         raise ValueError(f"reduction not applicable at {j}")
-    acc: dict[LsiMonomial, GaussianRational] = {}
+    acc: dict[LsiMonomial, Fraction] = {}
     for f, dpi, cols in _reduce_step(m.cols(), j):
         mono = monomial_from_cols(m.pi_pow + dpi, cols)
-        c = GaussianRational(f)
-        s = acc.get(mono)
-        acc[mono] = c if s is None else s + c
-    return LsiExpr(acc, _trusted=True)
+        acc[mono] = acc.get(mono, 0) + f
+    return LsiExpr(acc, m.phase % 2)
 
 
-def _accumulate(terms) -> tuple[int, dict, dict]:
-    """Common denominator L and re, im numerators of sum (re + i*im)/den * pi^dpi * table."""
-    terms = [(re, im, den * d, dpi, items) for re, im, den, dpi, (d, items) in terms]
-    big = lcm(*(t[2] for t in terms))
-    acc_re, acc_im = {}, {}
-    for re, im, den, dpi, items in terms:
-        scale = big // den
-        for acc, c in ((acc_re, re * scale), (acc_im, im * scale)):
-            if c:
-                for (pi, ks, ls), n in items:
-                    key = pi + dpi, ks, ls
-                    acc[key] = acc.get(key, 0) + c * n
-    return big, acc_re, acc_im
+def _accumulate(terms) -> tuple[int, dict]:
+    """Common denominator L and numerators of sum num/den * pi^dpi * table."""
+    terms = [(num, den * d, dpi, items) for num, den, dpi, (d, items) in terms]
+    big = lcm(*(t[1] for t in terms))
+    acc = {}
+    for num, den, dpi, items in terms:
+        c = num * (big // den)
+        for (pi, ks, ls), n in items:
+            key = pi + dpi, ks, ls
+            acc[key] = acc.get(key, 0) + c * n
+    return big, acc
 
 
 def _table(terms) -> Table:
-    # the real part of the accumulated terms, reduced by the gcd
-    den, acc, _ = _accumulate(terms)
+    den, acc = _accumulate(terms)
     items = [(m, n) for m, n in acc.items() if n]
     g = gcd(den, *(n for _, n in items))
     return den // g, tuple((m, n // g) for m, n in items)
 
 
-def _collect(terms) -> LsiExpr:
-    den, re, im = _accumulate(terms)
-    frac = lambda n: Fraction(n, den) if n else _ZERO
-    return LsiExpr({LsiMonomial(*m): GaussianRational(frac(re.get(m, 0)), frac(im.get(m, 0)))
-                    for m in {**re, **im}})
-
-
-def _parts(c: GaussianRational) -> tuple[int, int, int]:
-    """(re, im, den) integers with c = (re + i*im)/den."""
-    re, im = c.re, c.im
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+def _collect(terms, t: int) -> LsiExpr:
+    den, acc = _accumulate(terms)
+    return LsiExpr({LsiMonomial(*m): Fraction(n, den) for m, n in acc.items() if n}, t,
+                   _trusted=True)
 
 
 # canonical form of a pi-free monomial given by cols
-_CANON_CACHE: dict[tuple[Cols, str], Table] = {}
+_CANON_CACHE: dict[Cols, Table] = {}
 
 
-def _canon_cols(cols: Cols, strategy: str = "leftmost") -> Table:
-    cached = _CANON_CACHE.get((cols, strategy))
+def _canon_cols(cols: Cols) -> Table:
+    cached = _CANON_CACHE.get(cols)
     if cached is not None:
         return cached
-    reducible = [j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0]
-    if not reducible:
+    j = next((j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0), None)
+    if j is None:
         table = (1, (((0, tuple(k for k, _ in cols), tuple(l for _, l in cols)), 1),))
     else:
-        j = reducible[0] if strategy == "leftmost" else reducible[-1]
-        table = _table((f.numerator, 0, f.denominator, dpi, _canon_cols(child, strategy))
+        table = _table((f.numerator, f.denominator, dpi, _canon_cols(child))
                        for f, dpi, child in _reduce_step(cols, j))
-    _CANON_CACHE[(cols, strategy)] = table
+    _CANON_CACHE[cols] = table
     return table
 
 
-def canonicalize(e: LsiExpr, strategy: str = "leftmost") -> LsiExpr:
+def canonicalize(e: LsiExpr) -> LsiExpr:
     """Reduce every monomial to canonical form (linear extension, fixpoint)."""
-    return _collect((*_parts(c), m.pi_pow, _canon_cols(m.cols(), strategy))
-                    for m, c in e._terms.items())
+    return _collect(((c.numerator, c.denominator, m.pi_pow, _canon_cols(m.cols()))
+                     for m, c in e._terms.items()), e.t)
 
 
 # canonicalized product of two pi-free monomials, cached by column vectors
@@ -359,18 +358,21 @@ def _product_cols(a: Cols, b: Cols) -> Table:
     cached = _PRODUCT_CACHE.get((a, b))
     if cached is not None:
         return cached
-    table = _table((1, 0, 1, 0, _canon_cols(cols)) for cols in _interleavings(a, b))
+    table = _table((1, 1, 0, _canon_cols(cols)) for cols in _interleavings(a, b))
     _PRODUCT_CACHE[(a, b)] = table
     return table
 
 
 def _product_terms(pairs):
+    # i*r times i*s is -r*s: a product term is negated when both factors are imaginary
     for a, b in pairs:
-        tb = [(m.pi_pow, m.cols(), *_parts(c)) for m, c in b._terms.items()]
+        tb = [(m.pi_pow, m.cols(), c.numerator, c.denominator, b.is_imag(m))
+              for m, c in b._terms.items()]
         for ma, ca in a._terms.items():
-            pa, cols, ra, ia, da = ma.pi_pow, ma.cols(), *_parts(ca)
-            for pb, cols_b, rb, ib, db in tb:
-                yield (ra * rb - ia * ib, ra * ib + ia * rb, da * db, pa + pb,
+            pa, cols, ia = ma.pi_pow, ma.cols(), a.is_imag(ma)
+            na, da = ca.numerator, ca.denominator
+            for pb, cols_b, nb, db, ib in tb:
+                yield (-na * nb if ia and ib else na * nb, da * db, pa + pb,
                        _product_cols(cols, cols_b))
 
 
@@ -378,37 +380,41 @@ def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr]) -> LsiExpr
     """Bilinear shuffle product of ``a`` and ``b`` followed by canonicalization.
 
     Each further ``(a, b)`` pair adds its product; the whole sum is one
-    accumulation, cheaper than adding the products one by one.
+    accumulation, cheaper than adding the products one by one.  The products'
+    phase bits must agree, as for ``+``.
     """
-    return _collect(_product_terms(((a, b), *pairs)))
+    pairs = [(x, y) for x, y in ((a, b), *pairs) if x and y]
+    bits = {x.t ^ y.t for x, y in pairs}
+    if len(bits) > 1:
+        raise ValueError("terms of different phase bits have no common representation")
+    return _collect(_product_terms(pairs), bits.pop() if bits else 0)
 
 
 # ---------------------------------------------------------------------------
 # conjugation and real/imaginary parts (monomials are real, so these act on
-# coefficients only; no monomial is ever filtered by parity)
+# coefficients only: a term is real or imaginary by its phase and the bit t)
 
 def conjugate(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: c.conjugate() for m, c in e._terms.items()}, _trusted=True)
+    return LsiExpr({m: -c if e.is_imag(m) else c for m, c in e._terms.items()}, e.t,
+                   _trusted=True)
 
 
 def real_part(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: GaussianRational(c.re) for m, c in e._terms.items() if c.re},
+    return LsiExpr({m: c for m, c in e._terms.items() if not e.is_imag(m)}, e.t,
                    _trusted=True)
 
 
 def imag_part(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: GaussianRational(c.im) for m, c in e._terms.items() if c.im},
+    return LsiExpr({m: c for m, c in e._terms.items() if e.is_imag(m)}, 1 - e.t,
                    _trusted=True)
 
 
 def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
     """Coefficients of a real expression as plain rationals."""
-    out = {}
-    for m, c in e._terms.items():
-        if c.im:
+    for m in e._terms:
+        if e.is_imag(m):
             raise ValueError(f"expression has a non-real coefficient at {m}")
-        out[m] = c.re
-    return out
+    return dict(e._terms)
 
 
 def clear_caches() -> None:

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from . import serialize
 from .algebra import LsiExpr, LsiMonomial, canonicalize, reduce_at, shuffle
-from .gaussian import GaussianRational
 from .indices import Index, dual, enumerate_admissible, truncate
 from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
 from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
@@ -225,8 +224,7 @@ def cmd_verify(args, cfg: CliConfig) -> str:
         record(f"zeta({k}) imaginary part", abs(val.imag), cfg.precision)
     rel = ls_relations_for(w)
     for i, row in enumerate(rel.rows):
-        e = LsiExpr({m: GaussianRational(c)
-                     for m, c in zip(rel.col_labels, row) if c})
+        e = LsiExpr(dict(zip(rel.col_labels, row)))
         record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e, ncfg)), cfg.precision)
     for k in (1, 2, 3):
         record(f"even zeta closed form 2k={2 * k}",

@@ -138,7 +138,7 @@ def eval_expr(e: LsiExpr, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
     """Numerical value of an expression (coefficients become complex)."""
     total = 0j
     for m, c in e.terms():
-        total += complex(c) * eval_ls(m, cfg)
+        total += (complex(0, c) if e.is_imag(m) else complex(c)) * eval_ls(m, cfg)
     return total
 
 

@@ -1,8 +1,9 @@
 """Multiple polylogarithms at the sixth root of unity as log-sine expressions.
 
 ``li_expand`` writes Li_k(e^{i pi/3}) as an exact Q(i)-linear combination of
-canonical log-sine monomials at pi/3.  It expands the iterated-integral
-representation whose u-th factor is
+canonical log-sine monomials at pi/3, with phase bit 0 in the convention of
+``lsizeta.algebra``: each coefficient is i^q times a rational.  It expands
+the iterated-integral representation whose u-th factor is
 
     (A(t_{u+1}) - A(t_u) - i t_{u+1}/2 + i t_u/2)^(k_u - 1) / (k_u - 1)!
 
@@ -16,8 +17,7 @@ t_u close as soon as factor u is consumed, and the resulting exponent pattern
 l_u + p_u + 1, signed by the simplex-integral normalization.  States hold
 integer numerators over the product of 2^e e! (6^e e! for the last factor,
 e = k_u - 1) and no powers of i: a state's phase is (-1)^n i^q, q = its
-monomial's ``phase``, which canonicalization and products keep, so every
-coefficient of an expansion or a zeta expression is i^q times a rational.
+monomial's ``phase``.
 
 ``zeta_expr`` assembles the zeta value of an admissible index as the
 convolution sum over truncations of the index paired with conjugated
@@ -38,8 +38,9 @@ the digest is SHA-256 over ``<index>``, a newline and ``<text>``.
 ``use_li_cache`` only records the path.  The file is read the first time
 ``li_expand`` misses its memo, and then only its outer map is parsed; an
 entry is decoded when its index is first asked for.  A decoded entry must
-match its digest, its index's weight and the phase i^q above.  A file that
-cannot be parsed or has another format, and every entry that fails a check,
+match its digest and its index's weight, and have phase bit 0
+(``serialize.expr_from_json`` checks that its terms agree on one bit).  A file
+that cannot be parsed or has another format, and every entry that fails a check,
 cost one stderr line and are recomputed, so results never change.
 ``save_li_cache`` rewrites the file, atomically, only when the memo holds
 expansions the file lacks; the digest catches corruption and hand edits, not
@@ -55,9 +56,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .algebra import (LsiExpr, LsiMonomial, canonicalize, conjugate, monomial_from_cols,
-                      multiply, real_part)
-from .gaussian import GaussianRational, i_power
+from .algebra import LsiExpr, canonicalize, conjugate, monomial_from_cols, multiply
 from .indices import Index, dual, truncate
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
@@ -125,15 +124,13 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
                 new[key] = new.get(key, 0) + coeff * c
         states = new
     # The stripped phases multiply to i^(pi + sum l); with i^n from dt and
-    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den.
-    acc: dict[LsiMonomial, GaussianRational] = {}
+    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den, whose
+    # rational at phase bit 0 is (-1)^(n + q // 2) num/den.
+    acc = {}
     for (_, _, pi, cols), num in states.items():
-        if not num:
-            continue
-        m = monomial_from_cols(pi, cols)
-        q = m.phase
-        r = Fraction(-num if (n + q // 2) % 2 else num, den)
-        acc[m] = GaussianRational(im=r) if q % 2 else GaussianRational(r)
+        if num:
+            m = monomial_from_cols(pi, cols)
+            acc[m] = Fraction(-num if (n + m.phase // 2) % 2 else num, den)
     return canonicalize(LsiExpr(acc, _trusted=True))
 
 
@@ -178,11 +175,11 @@ def mgl_value(a: int, b: int) -> Fraction:
         raise ValueError("nonnegative integers required")
     k = Index((1,) * a + (2,) + (1,) * b)
     w = a + b + 2
-    e = real_part(li_expand(k).scaled(i_power(w)))
-    terms = e.terms()
+    # i^w times the coefficient r i^(q mod 2) is real where q + w is even
+    terms = [(m, r) for m, r in li_expand(k).terms() if (m.phase + w) % 2 == 0]
     if len(terms) != 1 or not terms[0][0].is_pure or terms[0][0].pi_pow != w:
-        raise ArithmeticError(f"expected a single pure pi^{w} term, got {e}")
-    return terms[0][1].re
+        raise ArithmeticError(f"expected a single pure pi^{w} term, got {terms}")
+    return terms[0][1] if w % 4 in (0, 3) else -terms[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,7 @@ def _decode_entry(key: str, entry, weight: int) -> LsiExpr:
     e = expr_from_json(json.loads(text))
     if any(m.weight != weight for m in e.monomials()):
         raise ValueError(f"a monomial is not of weight {weight}")
-    if any(c.re if m.phase % 2 else c.im for m, c in e.terms()):
+    if e.t:
         raise ValueError("a coefficient is not i^(depth + pi power + sum l) times a rational")
     return e
 

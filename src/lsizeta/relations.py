@@ -42,7 +42,6 @@ from .algebra import (
     rational_coeffs,
     real_part,
 )
-from .gaussian import GaussianRational
 from .indices import Index, dedupe_by_duality, enumerate_admissible
 from .polylog import li_expand, zeta_expr
 
@@ -164,10 +163,6 @@ class RationalMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else len(self.col_labels)
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix([row[:] for row in self.rows],
-                              list(self.row_labels), list(self.col_labels))
-
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form: unit pivots, zeros above and below."""
         m, pivots = _fraction_free(self.rows, self.nrows)
@@ -259,7 +254,7 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     w = 2 * k + 1
     factor = Fraction(1, 2) * (1 - Fraction(1, 4**k)) * (1 - Fraction(1, 9**k))
     lhs = real_part(li_expand(Index((w,))))
-    rhs = real_part(zeta_expr(Index((w,)))).scaled(GaussianRational(factor))
+    rhs = real_part(zeta_expr(Index((w,)))).scaled(factor)
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
     row = _expr_row(lhs - rhs, basis, pos)
@@ -368,8 +363,7 @@ def reduce_real_expr(e: LsiExpr, w: int, im_depth: int = 1,
     rels = ls_relations_for(w, im_depth, use_cr)
     if rels.rows:
         mat = _eliminate(mat, rels)
-    return LsiExpr({m: GaussianRational(c)
-                    for m, c in zip(basis.monomials, mat.rows[0]) if c})
+    return LsiExpr(dict(zip(basis.monomials, mat.rows[0])))
 
 
 # ---------------------------------------------------------------------------

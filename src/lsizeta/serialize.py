@@ -5,7 +5,9 @@ The JSON expression format is
     {"terms": [{"pi": m, "k": [...], "l": [...], "re": "p/q", "im": "p/q"}, ...]}
 
 with rationals as exact ``p/q`` strings and terms in the canonical monomial
-order, so serialization is byte-stable and round-trips exactly.
+order, so serialization is byte-stable and round-trips exactly.  Each term has
+one nonzero part, "re" or "im" as the phase convention of ``lsizeta.algebra``
+makes it; ``expr_from_json`` rejects terms that disagree on the phase bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import LsiExpr, LsiMonomial
-from .gaussian import GaussianRational
 from .indices import Index
 from .relations import MonomialBasis, MzvRelation, RationalMatrix
 
@@ -22,17 +23,30 @@ from .relations import MonomialBasis, MzvRelation, RationalMatrix
 # JSON
 
 def expr_to_json(e: LsiExpr) -> dict:
-    return {"terms": [{"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls),
-                       "re": str(c.re), "im": str(c.im)}
-                      for m, c in e.terms()]}
+    terms = []
+    for m, c in e.terms():
+        re, im = ("0", str(c)) if e.is_imag(m) else (str(c), "0")
+        terms.append({"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls), "re": re, "im": im})
+    return {"terms": terms}
 
 
 def expr_from_json(data: dict) -> LsiExpr:
-    terms = {}
-    for t in data["terms"]:
-        m = LsiMonomial(int(t["pi"]), tuple(t["k"]), tuple(t["l"]))
-        terms[m] = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
-    return LsiExpr(terms)
+    """Inverse of ``expr_to_json``.  The first nonzero term sets the phase bit;
+    a term with both parts nonzero, or whose nonzero part is not the one that
+    bit gives its monomial, is a ValueError."""
+    terms, t = {}, None
+    for item in data["terms"]:
+        m = LsiMonomial(int(item["pi"]), tuple(item["k"]), tuple(item["l"]))
+        re, im = Fraction(item["re"]), Fraction(item["im"])
+        if not (re or im):
+            continue
+        if t is None:
+            t = (m.phase + bool(im)) % 2
+        if re and im or bool(im) != (m.phase + t) % 2:
+            raise ValueError("a coefficient is not i^(depth + pi power + sum l"
+                             f"{' + 1' * t}) times a rational")
+        terms[m] = im or re
+    return LsiExpr(terms, t or 0)
 
 
 def basis_to_json(b: MonomialBasis) -> dict:
@@ -69,18 +83,11 @@ def rational_latex(q: Fraction) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-def _coeff_latex(c: GaussianRational) -> str:
-    if not c.im:
-        return rational_latex(c.re)
-    if not c.re:
-        mag = rational_latex(c.im)
-        if mag == "1":
-            return "i"
-        if mag == "-1":
-            return "-i"
-        return f"{mag} i"
-    sign = "-" if c.im < 0 else "+"
-    return f"\\left({rational_latex(c.re)} {sign} {rational_latex(abs(c.im))} i\\right)"
+def _coeff_latex(c: Fraction, imag: bool) -> str:
+    mag = rational_latex(c)
+    if not imag:
+        return mag
+    return {"1": "i", "-1": "-i"}.get(mag, f"{mag} i")
 
 
 def monomial_latex(m: LsiMonomial) -> str:
@@ -101,7 +108,7 @@ def expr_latex(e: LsiExpr) -> str:
         return "0"
     chunks = []
     for m, c in e.terms():
-        coeff = _coeff_latex(c)
+        coeff = _coeff_latex(c, e.is_imag(m))
         mono = monomial_latex(m)
         if mono == "1":
             term = coeff

@@ -15,35 +15,50 @@ from lsizeta.algebra import (
     reduce_at,
     shuffle,
 )
-from lsizeta.gaussian import GR_I, GR_ONE, GaussianRational
+from test_kernels import qi, ref_canonicalize
 
 
 def mono(ks, ls, pi=0):
     return LsiMonomial(pi, tuple(ks), tuple(ls))
 
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
+def real(terms):
+    """The expression with these real coefficients; all phases of one parity."""
+    bits = {m.phase % 2 for m in terms}
+    assert len(bits) <= 1
+    return LsiExpr(terms, bits.pop() if bits else 0)
 
 
 PURE = lambda m: LsiMonomial(m)
+F = Fraction
 
 
-class TestGaussianRational:
+class TestPhaseBit:
     def test_field_ops(self):
-        a = gr("1/2", "-1/3")
-        b = gr("2", "5")
-        assert a + b == gr("5/2", "14/3")
-        assert a * b == gr(Fraction(1, 2) * 2 + Fraction(1, 3) * 5,
-                           Fraction(5, 2) - Fraction(2, 3))
-        assert (a * b) / b == a
-        assert a.conjugate().conjugate() == a
-        assert complex(gr(1, 2)) == 1 + 2j
+        # Ls_3^(0) has odd phase, so at bit 0 it carries i: (1/2 i) Ls_3 + (2/3) pi^2
+        a = LsiExpr({mono((3,), (0,)): F("1/2"), PURE(2): F("2/3")})
+        assert qi(a) == {mono((3,), (0,)): (0, F("1/2")), PURE(2): (F("2/3"), 0)}
+        assert qi(a + a) == {mono((3,), (0,)): (0, 1), PURE(2): (F("4/3"), 0)}
+        assert qi(conjugate(a)) == {mono((3,), (0,)): (0, F("-1/2")), PURE(2): (F("2/3"), 0)}
+        assert conjugate(conjugate(a)) == a
+        assert a.scaled(F("3/2")).scaled(F("2/3")) == a
+        assert str(a) == "(1/2*i)*Ls[3]^(0) + (2/3)*pi^2"
 
-    def test_mul_fast_paths(self):
-        assert gr(3) * gr(0, 2) == gr(0, 6)
-        assert gr(0, 2) * gr(0, 3) == gr(-6)
-        assert GR_I * GR_I == gr(-1)
+    def test_products_of_real_and_imaginary_terms(self):
+        i_ls = LsiExpr({mono((2,), (0,)): F(3)})  # 3i Ls_2
+        two = LsiExpr({PURE(1): F(2)}, t=1)  # 2 pi at bit 1: real
+        assert qi(multiply(two, i_ls)) == {mono((2,), (0,), pi=1): (0, 6)}
+        assert qi(multiply(i_ls, i_ls)) == {mono((2, 2), (0, 0)): (-18, 0)}
+        assert multiply(i_ls, i_ls).t == 0 and multiply(two, i_ls).t == 1
+
+    def test_sum_of_different_phase_bits_raises(self):
+        a = LsiExpr({PURE(2): F(1)})  # 1 pi^2
+        b = LsiExpr({PURE(2): F(1)}, t=1)  # i pi^2
+        with pytest.raises(ValueError, match="phase bits"):
+            a + b
+        with pytest.raises(ValueError, match="phase bits"):
+            multiply(a, a, (a, b))
+        assert a + b.scaled(0) == a and LsiExpr.zero() + b == b
 
 
 class TestMonomial:
@@ -72,20 +87,20 @@ class TestMonomial:
 class TestShuffle:
     def test_paper_worked_example(self):
         got = shuffle(mono((1, 3), (0, 1)), mono((2,), (1,)))
-        expected = LsiExpr({
-            mono((2, 1, 3), (1, 0, 1)): GR_ONE,
-            mono((1, 2, 3), (0, 1, 1)): GR_ONE,
-            mono((1, 3, 2), (0, 1, 1)): GR_ONE,
+        expected = real({
+            mono((2, 1, 3), (1, 0, 1)): 1,
+            mono((1, 2, 3), (0, 1, 1)): 1,
+            mono((1, 3, 2), (0, 1, 1)): 1,
         })
         assert got == expected
 
     def test_empty_word(self):
         got = shuffle(mono((2,), (0,)), PURE(3))
-        assert got == LsiExpr({mono((2,), (0,), pi=3): GR_ONE})
+        assert got == real({mono((2,), (0,), pi=3): 1})
 
     def test_square_collects(self):
         got = shuffle(mono((2,), (0,)), mono((2,), (0,)))
-        assert got == LsiExpr({mono((2, 2), (0, 0)): gr(2)})
+        assert got == real({mono((2, 2), (0, 0)): 2})
 
     def test_term_count_binomial(self):
         rng = random.Random(7)
@@ -94,7 +109,7 @@ class TestShuffle:
             n, np_ = rng.randint(0, 3), rng.randint(0, 3)
             a = mono([rng.randint(1, 3) for _ in range(n)], [0] * n)
             b = mono([rng.randint(1, 3) for _ in range(np_)], [0] * np_)
-            total = sum(int(c.re) for _, c in shuffle(a, b).terms())
+            total = sum(int(c) for _, c in shuffle(a, b).terms())
             assert total == comb(n + np_, n)
 
     def test_pi_powers_add(self):
@@ -105,24 +120,24 @@ class TestShuffle:
 class TestReduceAt:
     def test_depth_one_sigma_power(self):
         got = reduce_at(mono((2,), (1,)), 1)
-        assert got == LsiExpr({PURE(2): gr("-1/18")})
+        assert got == real({PURE(2): F("-1/18")})
 
     def test_front_merge(self):
         got = reduce_at(mono((1, 3), (0, 1)), 1)
-        assert got == LsiExpr({mono((4,), (2,)): gr(-1)})
+        assert got == real({mono((4,), (2,)): -1})
 
     def test_tail_case_with_sigma(self):
         # depth-3 reduction at the front, then the paper's displayed result
         first = reduce_at(mono((1, 3, 2), (0, 1, 1)), 1)
-        assert first == LsiExpr({mono((4, 2), (2, 1)): gr(-1)})
+        assert first == real({mono((4, 2), (2, 1)): -1})
         got = canonicalize(first)
-        assert got == LsiExpr({mono((6,), (4,)): gr("-1/2"),
-                               mono((4,), (2,), pi=2): gr("1/18")})
+        assert got == real({mono((6,), (4,)): F("-1/2"),
+                            mono((4,), (2,), pi=2): F("1/18")})
 
     def test_middle_position(self):
         got = reduce_at(mono((2, 1, 3), (1, 0, 1)), 2)
-        assert got == LsiExpr({mono((3, 3), (2, 1)): GR_ONE,
-                               mono((2, 4), (1, 2)): gr(-1)})
+        assert got == real({mono((3, 3), (2, 1)): 1,
+                            mono((2, 4), (1, 2)): -1})
 
     def test_not_applicable(self):
         with pytest.raises(ValueError, match="not applicable"):
@@ -139,18 +154,19 @@ class TestReduceAt:
 class TestCanonicalize:
     def test_paper_triple(self):
         got = canonicalize(LsiExpr.of_monomial(mono((2, 1, 3), (1, 0, 1))))
-        assert got == LsiExpr({mono((6,), (4,)): gr("1/6")})
+        assert got == real({mono((6,), (4,)): F("1/6")})
         got = canonicalize(LsiExpr.of_monomial(mono((1, 2, 3), (0, 1, 1))))
-        assert got == LsiExpr({mono((6,), (4,)): gr("1/3")})
+        assert got == real({mono((6,), (4,)): F("1/3")})
 
     def test_fixpoint_on_canonical(self):
-        e = LsiExpr({mono((3, 2), (0, 0)): gr("5/7")})
-        assert canonicalize(e) == e
+        for t in (0, 1):
+            e = LsiExpr({mono((3, 2), (0, 0)): F("5/7")}, t)
+            assert canonicalize(e) == e
 
     def test_shuffle_then_canonicalize_example(self):
         prod = shuffle(mono((1, 3), (0, 1)), mono((2,), (1,)))
         got = canonicalize(prod)
-        assert got == LsiExpr({mono((4,), (2,), pi=2): gr("1/18")})
+        assert got == real({mono((4,), (2,), pi=2): F("1/18")})
 
     def _random_monomial(self, rng, max_weight=8):
         while True:
@@ -168,8 +184,9 @@ class TestCanonicalize:
             m = self._random_monomial(rng)
             if m.is_canonical:
                 continue
-            e = LsiExpr.of_monomial(m, gr("3/5", "-2/7"))
-            assert canonicalize(e, "leftmost") == canonicalize(e, "rightmost")
+            for t in (0, 1):  # a real and an imaginary coefficient
+                e = LsiExpr({m: F("3/5")}, t)
+                assert qi(canonicalize(e)) == ref_canonicalize(e, "rightmost")
             checked += 1
 
     def test_result_is_canonical_and_weight_homogeneous(self):
@@ -191,7 +208,7 @@ class TestMultiply:
     def test_example_pair(self):
         a = LsiExpr.of_monomial(mono((1, 3), (0, 1)))
         b = LsiExpr.of_monomial(mono((2,), (1,)))
-        assert multiply(a, b) == LsiExpr({mono((4,), (2,), pi=2): gr("1/18")})
+        assert multiply(a, b) == real({mono((4,), (2,), pi=2): F("1/18")})
 
     def _random_expr(self, rng):
         terms = {}
@@ -201,8 +218,8 @@ class TestMultiply:
             if sum(ks) > 5:
                 continue
             ls = [rng.randint(0, k - 1) for k in ks]
-            terms[mono(ks, ls)] = gr(rng.randint(-3, 3), rng.randint(-2, 2))
-        return LsiExpr(terms)
+            terms[mono(ks, ls)] = rng.randint(-3, 3)
+        return LsiExpr(terms, rng.randint(0, 1))
 
     def test_commutative_associative(self):
         rng = random.Random(4242)
@@ -213,7 +230,7 @@ class TestMultiply:
 
     def test_weight_homogeneity(self):
         a = canonicalize(shuffle(mono((2,), (0,)), mono((3,), (1,))))
-        b = LsiExpr({mono((2,), (0,), pi=1): gr(2), mono((3,), (0,)): gr(0, 1)})
+        b = LsiExpr({mono((2,), (0,), pi=1): 2, mono((3,), (0,)): 1})
         prod = multiply(a, b)
         assert a.weight() == 5 and b.weight() == 3
         assert prod.is_weight_homogeneous() and prod.weight() == 8
@@ -227,39 +244,52 @@ class TestMultiply:
 
 class TestRealImag:
     def test_split_and_reassemble(self):
-        e = LsiExpr({mono((3,), (0,)): gr("1/2", "-1/3"),
-                     PURE(3): gr(0, "7/216")})
+        # Ls_3^(0) and pi^3 have odd phase, so at bit 0 they carry i; Ls_3^(1) is real
+        e = LsiExpr({mono((3,), (0,)): F("1/2"), mono((3,), (1,)): F("-1/3"),
+                     PURE(3): F("7/216")})
         re, im = real_part(e), imag_part(e)
-        assert re + im.scaled(GR_I) == e
+        assert qi(re) == {mono((3,), (1,)): (F("-1/3"), 0)}
+        assert qi(im) == {mono((3,), (0,)): (F("1/2"), 0), PURE(3): (F("7/216"), 0)}
+        # the rationals of im back at e's bit are i * im: e = re + i im exactly
+        assert re + LsiExpr(dict(im.terms()), 1 - im.t) == e
 
     def test_conjugate_involution(self):
-        e = LsiExpr({mono((3,), (1,)): gr(2, 3)})
-        assert conjugate(conjugate(e)) == e
+        for t in (0, 1):
+            e = LsiExpr({mono((3,), (1,)): 2, mono((3,), (0,)): 3}, t)
+            assert conjugate(conjugate(e)) == e and conjugate(e) != e
 
     def test_rational_coeffs_rejects_complex(self):
-        e = LsiExpr({PURE(2): gr(1, 1)})
+        e = LsiExpr({PURE(2): 1, PURE(1): 1}, 1)  # i pi^2 + pi
         with pytest.raises(ValueError):
             rational_coeffs(e)
+        assert rational_coeffs(real_part(e)) == {PURE(1): 1}
 
 
 class TestExprContainer:
+    def test_float_coefficient_is_rejected(self):
+        # Fraction(0.1) would silently keep the float's binary expansion
+        with pytest.raises(TypeError):
+            LsiExpr.of_monomial(PURE(2), 0.1)
+        assert LsiExpr.of_monomial(PURE(2), "1/10") == LsiExpr({PURE(2): F(1, 10)})
+
     def test_zero_coefficients_dropped(self):
-        e = LsiExpr({PURE(2): gr(0)})
-        assert not e and len(e) == 0
+        e = LsiExpr({PURE(2): 0}, 1)
+        assert not e and len(e) == 0 and e == LsiExpr.zero()
 
     def test_add_cancels(self):
-        a = LsiExpr({PURE(2): gr(1)})
-        b = LsiExpr({PURE(2): gr(-1)})
-        assert (a + b) == LsiExpr.zero()
+        for t in (0, 1):
+            a = LsiExpr({PURE(2): 1}, t)
+            b = LsiExpr({PURE(2): -1}, t)
+            assert (a + b) == LsiExpr.zero()
 
     def test_terms_sorted_deterministically(self):
-        e = LsiExpr({PURE(5): gr(1), mono((5,), (1,)): gr(1),
-                     mono((2, 3), (0, 0)): gr(1)})
+        e = LsiExpr({PURE(5): 1, mono((5,), (1,)): 1,
+                     mono((2, 3), (0, 0)): 1})
         names = [m for m, _ in e.terms()]
         assert names == [mono((2, 3), (0, 0)), mono((5,), (1,)), PURE(5)]
 
     def test_weight_helpers(self):
-        e = LsiExpr({PURE(4): gr(1), mono((4,), (0,)): gr(1)})
+        e = LsiExpr({PURE(4): 1, mono((4,), (0,)): 1})
         assert e.is_weight_homogeneous() and e.weight() == 4
-        bad = LsiExpr({PURE(4): gr(1), PURE(3): gr(1)})
+        bad = LsiExpr({PURE(4): 1, PURE(3): 1})
         assert not bad.is_weight_homogeneous()

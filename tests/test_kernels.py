@@ -1,10 +1,12 @@
 """The integer kernels against ``Fraction`` and modular witnesses.
 
-``algebra`` and ``polylog`` sum integer numerators over one common denominator.
-The functions below are the earlier per-term ``Fraction`` formulation of the
-same kernels, kept here only as an independent reference: every term is a
-``GaussianRational`` and every step takes a gcd.  They share nothing with the
-library but the shuffle interleavings and the single reduction step.
+``algebra`` and ``polylog`` sum integer numerators over one common denominator
+and store one rational per monomial, its power of i implied by the phase bit.
+The functions below are the earlier per-term formulation of the same kernels,
+kept here only as an independent reference: every coefficient is a Gaussian
+rational, a local pair of ``Fraction``s, so the witness assumes no phase rule,
+and every step takes a gcd.  They share nothing with the library but the
+shuffle interleavings and the single reduction step.
 
 ``relations`` row-reduces over the integers.  ``ref_rref`` and
 ``ref_eliminate`` are the earlier ``Fraction`` Gauss-Jordan loop and
@@ -26,11 +28,9 @@ from lsizeta.algebra import (
     _interleavings,
     _reduce_step,
     canonicalize,
-    conjugate,
     monomial_from_cols,
     multiply,
 )
-from lsizeta.gaussian import GaussianRational, i_power
 from lsizeta.indices import dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
 from lsizeta.relations import (
@@ -43,7 +43,42 @@ from lsizeta.relations import (
     reduce_mzv_matrix,
 )
 
-STRATEGIES = ("leftmost", "rightmost")
+# ---------------------------------------------------------------------------
+# Q(i) as (re, im) pairs of Fractions; an expression as {monomial: pair}
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def q_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def i_pow(r, mag=ONE):
+    """mag * i^r."""
+    return ((mag, ZERO), (ZERO, mag), (-mag, ZERO), (ZERO, -mag))[r % 4]
+
+
+def q_add_into(acc, key, v):
+    s = acc.get(key)
+    s = v if s is None else (s[0] + v[0], s[1] + v[1])
+    if any(s):
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
+def qi(e):
+    """The Gaussian-rational map of an ``LsiExpr``."""
+    return {m: (ZERO, c) if e.is_imag(m) else (c, ZERO) for m, c in e.terms()}
+
+
+def lsi(d):
+    """The ``LsiExpr`` of a map whose coefficients are i^(q + t) times
+    rationals for one t, q the monomial's phase."""
+    bits = {(m.phase + bool(im)) % 2 for m, (re, im) in d.items()}
+    assert len(bits) <= 1 and not any(re and im for re, im in d.values())
+    return LsiExpr({m: re or im for m, (re, im) in d.items()}, bits.pop() if bits else 0)
+
 
 # ---------------------------------------------------------------------------
 # reference kernels: one Fraction operation per term
@@ -72,17 +107,13 @@ def ref_canon_cols(cols, strategy="leftmost"):
 
 
 def ref_canonicalize(e, strategy="leftmost"):
+    """Canonical form of an ``LsiExpr`` or Gaussian-rational map, reducing at
+    the ``strategy`` end first."""
     acc = {}
-    for m, c in e.terms():
+    for m, (re, im) in (qi(e) if isinstance(e, LsiExpr) else e).items():
         for mono, f in ref_canon_cols(m.cols(), strategy).items():
-            key = mono.shifted(m.pi_pow)
-            s = acc.get(key)
-            s = c.scale(f) if s is None else s + c.scale(f)
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return LsiExpr(acc, _trusted=True)
+            q_add_into(acc, mono.shifted(m.pi_pow), (re * f, im * f))
+    return acc
 
 
 def ref_product_cols(a, b):
@@ -102,19 +133,13 @@ def ref_product_cols(a, b):
 
 def ref_multiply(a, b):
     acc = {}
-    for ma, ca in a.terms():
-        for mb, cb in b.terms():
-            c = ca * cb
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            re, im = q_mul(ca, cb)
             dpi = ma.pi_pow + mb.pi_pow
             for mono, f in ref_product_cols(ma.cols(), mb.cols()).items():
-                key = mono.shifted(dpi)
-                s = acc.get(key)
-                s = c.scale(f) if s is None else s + c.scale(f)
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-    return LsiExpr(acc, _trusted=True)
+                q_add_into(acc, mono.shifted(dpi), (re * f, im * f))
+    return acc
 
 
 def _ref_inner_factor_terms(e):
@@ -127,8 +152,7 @@ def _ref_inner_factor_terms(e):
                 mag = Fraction(sign, 2 ** (t_next + t_cur)
                                * factorial(a_next) * factorial(a_cur)
                                * factorial(t_next) * factorial(t_cur))
-                out.append((a_next, t_next, a_cur, t_cur,
-                            i_power(t_next + t_cur).scale(mag)))
+                out.append((a_next, t_next, a_cur, t_cur, i_pow(t_next + t_cur, mag)))
     return out
 
 
@@ -140,16 +164,16 @@ def _ref_last_factor_terms(e):
             sign = -1 if (a_cur + c_pi) % 2 else 1
             mag = Fraction(sign, 2 ** t_cur * 6 ** c_pi
                            * factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
-            out.append((c_pi, a_cur, t_cur, i_power(t_cur + c_pi).scale(mag)))
+            out.append((c_pi, a_cur, t_cur, i_pow(t_cur + c_pi, mag)))
     return out
 
 
 def ref_li_raw(k):
-    """The state convolution of Li_k before canonicalization."""
+    """The state convolution of Li_k before canonicalization, as a Gaussian-rational map."""
     n = k.depth
     if n == 0:
-        return LsiExpr.unit()
-    states = {(0, 0, 0, ()): GaussianRational.of(1)}
+        return {LsiMonomial(): (ONE, ZERO)}
+    states = {(0, 0, 0, ()): (ONE, ZERO)}
     for u, ku in enumerate(k.parts):
         last = u == n - 1
         terms = _ref_last_factor_terms(ku - 1) if last else _ref_inner_factor_terms(ku - 1)
@@ -164,27 +188,24 @@ def ref_li_raw(k):
                     a_next, t_next, a_cur, t_cur, c = term
                     l = carry_t + t_cur
                     key = (a_next, t_next, pi, cols + ((carry_a + a_cur + l + 1, l),))
-                v = coeff * c
-                s = new.get(key)
-                new[key] = v if s is None else s + v
+                q_add_into(new, key, q_mul(coeff, c))
         states = new
-    front = i_power(n).scale(Fraction((-1) ** n))
+    front = i_pow(n, Fraction((-1) ** n))
     acc = {}
     for (_, _, pi, cols), coeff in states.items():
-        m = monomial_from_cols(pi, cols)
-        v = coeff * front
-        s = acc.get(m)
-        acc[m] = v if s is None else s + v
-    return LsiExpr(acc)
+        q_add_into(acc, monomial_from_cols(pi, cols), q_mul(coeff, front))
+    return acc
 
 
 def ref_zeta_expr(k):
     w, kd = k.weight, dual(k)
-    total = LsiExpr.zero()
+    total = {}
     for m in range(w + 1):
         left = ref_canonicalize(ref_li_raw(truncate(k, m)))
-        right = conjugate(ref_canonicalize(ref_li_raw(truncate(kd, w - m))))
-        total = total + ref_multiply(left, right)
+        right = ref_canonicalize(ref_li_raw(truncate(kd, w - m)))
+        conj = {mono: (re, -im) for mono, (re, im) in right.items()}
+        for mono, c in ref_multiply(left, conj).items():
+            q_add_into(total, mono, c)
     return total
 
 
@@ -193,29 +214,33 @@ def ref_zeta_expr(k):
 
 
 def _truncations(k):
+    seen = set()
     for kk in (k, dual(k)):
         for m in range(kk.weight + 1):
-            yield truncate(kk, m)
+            t = truncate(kk, m)
+            if t not in seen:
+                seen.add(t)
+                yield t
 
 
 @pytest.mark.parametrize("w", range(2, 9))
 def test_expansions_match_witness(w):
     seen = set()
     for k in enumerate_admissible(w):
-        assert zeta_expr(k) == ref_zeta_expr(k), k
+        assert qi(zeta_expr(k)) == ref_zeta_expr(k), k
         for t in _truncations(k):
             if t in seen:
                 continue
             seen.add(t)
             raw = ref_li_raw(t)
-            assert li_expand(t) == ref_canonicalize(raw), t
-            for strategy in STRATEGIES:
-                assert canonicalize(raw, strategy) == ref_canonicalize(raw, strategy), (t, strategy)
+            assert qi(li_expand(t)) == ref_canonicalize(raw), t
+            # the other reduction order reaches the same canonical form
+            assert qi(canonicalize(lsi(raw))) == ref_canonicalize(raw, "rightmost"), t
 
 
-def _phase_ok(e):
+def _phase_ok(d):
     # the coefficient of m is i^q times a nonzero rational, q = m.phase
-    return all(c and not (c.re if m.phase % 2 else c.im) for m, c in e.terms())
+    return all(any(c) and not c[(m.phase + 1) % 2] for m, c in d.items())
 
 
 def test_phase_is_depth_plus_pi_power_plus_sum_l():
@@ -225,14 +250,26 @@ def test_phase_is_depth_plus_pi_power_plus_sum_l():
 
 @pytest.mark.parametrize("w", range(2, 10))
 def test_phase_invariant(w):
+    # The witness's raw expansions are i^q times rationals, and every reduction
+    # step keeps q, so phase bit 0 represents the expansions exactly.
+    seen = set()
     for k in enumerate_admissible(w):
-        assert _phase_ok(zeta_expr(k)), k
+        assert zeta_expr(k).t == 0, k
         for t in _truncations(k):
-            assert _phase_ok(li_expand(t)), t
+            if t in seen:
+                continue
+            seen.add(t)
+            raw = ref_li_raw(t)
+            assert _phase_ok(raw) and li_expand(t).t == 0, t
+            for m in raw:
+                for j, (kj, lj) in enumerate(m.cols(), 1):
+                    if kj - 1 - lj == 0:
+                        assert all(monomial_from_cols(m.pi_pow + dpi, child).phase == m.phase
+                                   for _, dpi, child in _reduce_step(m.cols(), j)), (m, j)
 
 
 # ---------------------------------------------------------------------------
-# random expressions with arbitrary Q(i) coefficients
+# random expressions: rational coefficients under a random phase bit
 
 
 @st.composite
@@ -243,33 +280,35 @@ def monomials(draw, max_depth=3):
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=36)
-gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 def exprs(max_depth=3, max_size=4):
-    return st.dictionaries(monomials(max_depth), gaussians, max_size=max_size).map(LsiExpr)
+    return st.builds(LsiExpr, st.dictionaries(monomials(max_depth), rationals,
+                                              max_size=max_size), st.integers(0, 1))
 
 
 @settings(max_examples=150, deadline=None)
-@given(exprs(), st.sampled_from(STRATEGIES))
-def test_canonicalize_matches_witness(e, strategy):
-    got = canonicalize(e, strategy)
-    assert got == ref_canonicalize(e, strategy)
-    assert canonicalize(e - got, strategy) == LsiExpr.zero()  # every term cancels
+@given(exprs())
+def test_canonicalize_matches_witness(e):
+    got = canonicalize(e)
+    assert qi(got) == ref_canonicalize(e) == ref_canonicalize(e, "rightmost")
+    assert canonicalize(e - got) == LsiExpr.zero()  # every term cancels
 
 
 @settings(max_examples=150, deadline=None)
 @given(exprs(2, 3), exprs(2, 3))
 def test_multiply_matches_witness(a, b):
-    assert multiply(a, b) == ref_multiply(a, b)
+    assert qi(multiply(a, b)) == ref_multiply(qi(a), qi(b))
     assert multiply(a, b, (a, -b)) == LsiExpr.zero()
     c = canonicalize(a)  # a - c is zero once canonical, so is its product
-    assert multiply(a - c, b) == ref_multiply(a - c, b) == LsiExpr.zero()
+    assert multiply(a - c, b) == LsiExpr.zero()
+    assert ref_multiply(qi(a - c), qi(b)) == {}
 
 
 @settings(max_examples=60, deadline=None)
 @given(exprs(2, 3), exprs(2, 3), exprs(2, 3), exprs(2, 3))
 def test_further_pairs_add_their_products(a, b, c, d):
+    d = LsiExpr(dict(d.terms()), a.t ^ b.t ^ c.t)  # both products on one phase bit
     assert multiply(a, b, (c, d)) == multiply(a, b) + multiply(c, d)
 
 

@@ -320,8 +320,9 @@ class TestQuadratureMemo:
             return kernel(h_vals)
 
         monkeypatch.setattr(oracle, "_suffix_integrals", counted)
+        # pi^2, not pi: the two real terms then share one phase bit
         e = LsiExpr.of_monomial(mono((3, 2), (0, 0))) \
-            + LsiExpr.of_monomial(mono((3, 2), (0, 0), pi=1))
+            + LsiExpr.of_monomial(mono((3, 2), (0, 0), pi=2))
         first = eval_expr(e)
         assert len(calls) == 2  # one nested integral of depth 2
         assert eval_expr(e) == first

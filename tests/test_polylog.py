@@ -6,7 +6,6 @@ import pytest
 
 from lsizeta import polylog
 from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, real_part
-from lsizeta.gaussian import GaussianRational
 from lsizeta.indices import Index, dual, enumerate_admissible
 from lsizeta.polylog import (
     clear_caches,
@@ -18,14 +17,14 @@ from lsizeta.polylog import (
     zeta_expr,
 )
 from lsizeta.serialize import expr_to_json
+from test_kernels import i_pow, qi
 
 
 def mono(ks, ls, pi=0):
     return LsiMonomial(pi, tuple(ks), tuple(ls))
 
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
+F = Fraction
 
 
 class TestLiExpand:
@@ -34,19 +33,17 @@ class TestLiExpand:
 
     def test_depth_one_weight_one(self):
         # Li_1(e^{i pi/3}) = -log(1 - e^{i pi/3}) = i pi/3
-        assert li_expand(Index((1,))) == LsiExpr({LsiMonomial(1): gr(0, "1/3")})
+        assert qi(li_expand(Index((1,)))) == {LsiMonomial(1): (0, F("1/3"))}
 
     def test_depth_one_weight_two(self):
         got = li_expand(Index((2,)))
-        assert got == LsiExpr({mono((2,), (0,)): gr(0, 1), LsiMonomial(2): gr("1/36")})
+        assert qi(got) == {mono((2,), (0,)): (0, 1), LsiMonomial(2): (F("1/36"), 0)}
 
     def test_all_ones_collapse_to_pure_power(self):
         # Li at ({1}^j) is (i pi/3)^j / j!
         for j in range(1, 6):
             got = li_expand(Index((1,) * j))
-            coeff = gr(0, 1) ** j if j else gr(1)
-            expected = LsiExpr({LsiMonomial(j): coeff.scale(Fraction(1, 3**j * factorial(j)))})
-            assert got == expected
+            assert qi(got) == {LsiMonomial(j): i_pow(j, Fraction(1, 3**j * factorial(j)))}
 
     def test_output_is_canonical(self):
         for parts in [(3,), (1, 2), (2, 3), (1, 1, 2), (2, 1, 2), (1, 3, 1)]:
@@ -61,16 +58,16 @@ class TestLiExpand:
 
 class TestZetaExpr:
     def test_weight_two(self):
-        assert zeta_expr(Index((2,))) == LsiExpr({LsiMonomial(2): gr("1/6")})
+        assert qi(zeta_expr(Index((2,)))) == {LsiMonomial(2): (F("1/6"), 0)}
 
     def test_weight_three_exact(self):
-        expected = LsiExpr({
-            mono((2,), (0,), pi=1): gr("1/2"),
-            mono((3,), (1,)): gr("-3/2"),
-            mono((3,), (0,)): gr(0, "-1/2"),
-            LsiMonomial(3): gr(0, "-7/216"),
-        })
-        assert zeta_expr(Index((3,))) == expected
+        expected = {
+            mono((2,), (0,), pi=1): (F("1/2"), 0),
+            mono((3,), (1,)): (F("-3/2"), 0),
+            mono((3,), (0,)): (0, F("-1/2")),
+            LsiMonomial(3): (0, F("-7/216")),
+        }
+        assert qi(zeta_expr(Index((3,)))) == expected
 
     def test_weight_four_real_parts(self):
         cases = {
@@ -84,26 +81,25 @@ class TestZetaExpr:
         }
         for parts, coeffs in cases.items():
             got = real_part(zeta_expr(Index(parts)))
-            expected = LsiExpr({m: GaussianRational(c) for m, c in coeffs.items()})
-            assert got == expected, parts
+            assert got == LsiExpr(coeffs) and not imag_part(got), parts
 
     def test_weight_five_depth_two_expression(self):
-        expected = LsiExpr({
-            mono((5,), (1,)): gr("-1/6"),
-            mono((5,), (3,)): gr("3/8"),
-            mono((4,), (1,), pi=1): gr(0, "-1/4"),
-            mono((4,), (2,), pi=1): gr("-1/2"),
-            mono((3,), (1,), pi=2): gr("1/8"),
-            LsiMonomial(5): gr(0, "-17/25920"),
-        })
-        assert zeta_expr(Index((1, 4))) == expected
+        expected = {
+            mono((5,), (1,)): (F("-1/6"), 0),
+            mono((5,), (3,)): (F("3/8"), 0),
+            mono((4,), (1,), pi=1): (0, F("-1/4")),
+            mono((4,), (2,), pi=1): (F("-1/2"), 0),
+            mono((3,), (1,), pi=2): (F("1/8"), 0),
+            LsiMonomial(5): (0, F("-17/25920")),
+        }
+        assert qi(zeta_expr(Index((1, 4)))) == expected
 
     def test_weight_three_real_and_imag_split(self):
         e = zeta_expr(Index((3,)))
-        assert real_part(e) == LsiExpr({mono((2,), (0,), pi=1): gr("1/2"),
-                                        mono((3,), (1,)): gr("-3/2")})
-        assert imag_part(e) == LsiExpr({mono((3,), (0,)): gr("-1/2"),
-                                        LsiMonomial(3): gr("-7/216")})
+        assert qi(real_part(e)) == {mono((2,), (0,), pi=1): (F("1/2"), 0),
+                                    mono((3,), (1,)): (F("-3/2"), 0)}
+        assert qi(imag_part(e)) == {mono((3,), (0,)): (F("-1/2"), 0),
+                                    LsiMonomial(3): (F("-7/216"), 0)}
 
     def test_requires_admissible(self):
         with pytest.raises(ValueError):
@@ -114,11 +110,9 @@ class TestZetaExpr:
         # coefficients are real exactly on monomials whose log-factor count
         # matches the weight parity, imaginary on the others
         for k in enumerate_admissible(w):
-            for m, c in zeta_expr(k).terms():
-                if m.parity == w % 2:
-                    assert not c.im, (k, m)
-                else:
-                    assert not c.re, (k, m)
+            e = zeta_expr(k)
+            for m in e.monomials():
+                assert e.is_imag(m) == (m.parity != w % 2), (k, m)
 
     @pytest.mark.parametrize("w", range(2, 7))
     def test_duality(self, w):
@@ -239,7 +233,8 @@ class TestCachePersistence:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"ignoring expansion cache {path}: ")
 
-    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key", "off phase"])
+    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key", "off phase",
+                                        "times i"])
     def test_entry_failing_a_check_is_recomputed(self, tmp_path, capsys, damage):
         path = tmp_path / "cache.json"
         expected = li_expand(Index((2,)))
@@ -256,6 +251,11 @@ class TestCachePersistence:
             # i Ls_2 + (1/36) pi^2 with the real pi^2 term made imaginary
             text = entries["2"]["expr"].replace('"re":"1/36","im":"0"', '"re":"0","im":"1/36"')
             assert text != entries["2"]["expr"]
+            entries["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
+        elif damage == "times i":
+            # -Ls_2 + (i/36) pi^2: every term agrees on phase bit 1, not the 0 of an expansion
+            text = (entries["2"]["expr"].replace('"re":"0","im":"1"', '"re":"-1","im":"0"')
+                    .replace('"re":"1/36","im":"0"', '"re":"0","im":"1/36"'))
             entries["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
         else:
             entries["02"] = entries.pop("2")

@@ -1,16 +1,22 @@
+import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
 from lsizeta import serialize
-from lsizeta.algebra import LsiExpr, LsiMonomial
-from lsizeta.gaussian import GaussianRational
-from lsizeta.indices import Index
-from lsizeta.polylog import zeta_expr
+from lsizeta.algebra import LsiExpr, LsiMonomial, canonicalize
+from lsizeta.indices import Index, dual, enumerate_admissible, truncate
+from lsizeta.polylog import li_expand, zeta_expr
 from lsizeta.relations import build_basis, mzv_relations, re_matrix
 
+# SHA-256 of f"{k}\n{compact JSON}\n" over every admissible index of weight
+# 2..9 in enumeration order (zeta), and over the 384 distinct truncations of
+# those indices and their duals sorted by str (li), as first released
+ZETA_JSON_SHA256 = "59e68446dcfecde6da18c4bd72d6e836828c90815a2e49f6ac98b362141939ce"
+LI_JSON_SHA256 = "9c25254cccb18b2a736122ebc9aa7d0aa38156919fbfb97c2d38149bcf2399c4"
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
+
 
 
 class TestJson:
@@ -20,9 +26,26 @@ class TestJson:
         assert serialize.expr_from_json(data) == e
 
     def test_expr_format_shape(self):
-        e = LsiExpr({LsiMonomial(3): gr(0, "-7/216")})
+        e = LsiExpr({LsiMonomial(3): Fraction(-7, 216)})  # odd phase at bit 0: imaginary
         data = serialize.expr_to_json(e)
         assert data == {"terms": [{"pi": 3, "k": [], "l": [], "re": "0", "im": "-7/216"}]}
+
+    def test_odd_phase_bit_roundtrip(self):
+        # a plain monomial of odd phase has bit 1, which its canonical form keeps
+        e = canonicalize(LsiExpr.of_monomial(LsiMonomial(0, (2, 1), (1, 0)), 3))
+        assert e.t == 1 and e
+        data = serialize.expr_to_json(e)
+        assert all(t["im"] == "0" for t in data["terms"])
+        assert serialize.expr_from_json(data) == e
+
+    @pytest.mark.parametrize("re,im", [("1/2", "1/3"), ("0", "1/3")])
+    def test_term_contradicting_the_phase_is_rejected(self, re, im):
+        # the first term sets bit 0: Ls_2^(0), of odd phase, is imaginary there,
+        # so a real part on pi^2, or two nonzero parts, contradict it
+        data = {"terms": [{"pi": 0, "k": [2], "l": [0], "re": "0", "im": "1"},
+                          {"pi": 2, "k": [], "l": [], "re": re, "im": im}]}
+        with pytest.raises(ValueError, match=r"not i\^\(depth \+ pi power \+ sum l\)"):
+            serialize.expr_from_json(data)
 
     def test_terms_in_canonical_order(self):
         e = zeta_expr(Index((5,)))
@@ -47,6 +70,22 @@ class TestJson:
         data = serialize.basis_to_json(build_basis(2, "odd"))
         assert data == {"weight": 2, "parity": "odd",
                         "monomials": [{"pi": 0, "k": [2], "l": [0]}]}
+
+
+def test_expansion_json_is_byte_stable(fresh_caches):
+    def compact(e):
+        return json.dumps(serialize.expr_to_json(e), separators=(",", ":"))
+
+    zeta, li, truncations = hashlib.sha256(), hashlib.sha256(), set()
+    for w in range(2, 10):
+        for k in enumerate_admissible(w):
+            zeta.update(f"{k}\n{compact(zeta_expr(k))}\n".encode())
+            for kk in (k, dual(k)):
+                truncations.update(truncate(kk, m) for m in range(kk.weight + 1))
+    for k in sorted(truncations, key=str):
+        li.update(f"{k}\n{compact(li_expand(k))}\n".encode())
+    assert len(truncations) == 384
+    assert (zeta.hexdigest(), li.hexdigest()) == (ZETA_JSON_SHA256, LI_JSON_SHA256)
 
 
 class TestLatex:
