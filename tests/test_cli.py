@@ -81,6 +81,13 @@ class TestBasicCommands:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    @pytest.mark.parametrize("w", [7, 8])
+    def test_verify_passes_at_finest_precision(self, capsys, w):
+        # the depth-6 and depth-7 zeta series need tails accurate past 1e-12
+        code, out, _ = run(capsys, "verify", str(w), "--precision", "1e-12")
+        assert code == 0
+        assert all(line.startswith("PASS") for line in out.splitlines())
+
 
 class TestErrors:
     def test_malformed_index(self, capsys):

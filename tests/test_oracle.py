@@ -14,7 +14,7 @@ from lsizeta.algebra import (
     reduce_at,
     shuffle,
 )
-from lsizeta.indices import Index, enumerate_admissible
+from lsizeta.indices import Index, dual, enumerate_admissible
 from lsizeta.oracle import (
     NumericConfig,
     bernoulli_number,
@@ -101,9 +101,89 @@ class TestEvalMzv:
     def test_duality_numeric(self):
         assert eval_mzv(Index((3, 2))) == pytest.approx(eval_mzv(Index((2, 1, 2))), abs=1e-10)
 
+    @pytest.mark.parametrize("s", [40, 41, 42, 50])
+    def test_parts_beyond_tail_order(self, s):
+        assert abs(eval_mzv(Index((s,))) - (1.0 + 2.0**-s + 3.0**-s)) <= 1e-16
+        want = math.fsum(j**-s * sum(i**-2 for i in range(1, j)) for j in range(2, 30))
+        assert abs(eval_mzv(Index((2, s))) - want) <= 1e-15 * want
+
     def test_requires_admissible(self):
         with pytest.raises(ValueError):
             eval_mzv(Index((2, 1)))
+
+
+def _ref_tail_beyond(term_quarter, term_half, term_last, n):
+    # sum_{i > n} of the model c * i^(-s) * (1 + a/i) fitted through the
+    # samples at n/4, n/2 and n; the remainder sums layer by layer via the
+    # Euler-Maclaurin form of sum_{i>n} i^(-s).
+    if term_last <= 0.0 or term_half <= 0.0 or term_quarter <= 0.0:
+        return 0.0
+    r1 = math.log(term_half / term_last)
+    r2 = math.log(term_quarter / term_half)
+    a_over_n = r2 - r1
+    s = (2.0 * r1 - r2) / math.log(2.0)
+    if s <= 1.0:
+        raise ArithmeticError("tail does not decay fast enough to sum")
+    a = a_over_n * n
+    bracket = (n / (s - 1.0) - 0.5 + s / (12.0 * n)
+               + a / s - a / (2.0 * n))
+    return term_last * bracket / (1.0 + a_over_n)
+
+
+def ref_eval_mzv(k, n=100_000):
+    """Witness series: 100,000 terms a level, with a power law fitted to the
+    last decade of terms as each tail."""
+    j = np.arange(n + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / j
+    r_next = np.ones(n + 1)
+    for u, ku in enumerate(reversed(k.parts)):
+        term = inv**ku * r_next
+        term[0] = 0.0
+        if u == 0:  # innermost level: the tail exponent is known exactly
+            tail = term[n] * (n / (ku - 1.0) - 0.5 + ku / (12.0 * n))
+        else:
+            tail = _ref_tail_beyond(term[n // 4], term[n // 2], term[n], n)
+        suffix = np.concatenate([np.cumsum(term[::-1])[::-1][1:], [0.0]])
+        r_next = suffix + tail
+    return float(r_next[0])
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_eval_mzv_matches_long_series(w):
+    # the long series is itself off by 1.2e-12 at zeta(1,1,1,1,1,2) and by
+    # 4.3e-12 at zeta(1,1,1,1,1,1,2), against zeta(7) and zeta(8) by duality
+    tol = 2e-12 if w <= 7 else 5e-12
+    for k in enumerate_admissible(w):
+        assert abs(eval_mzv(k) - ref_eval_mzv(k)) <= tol, k
+
+
+@pytest.mark.parametrize("cfg", [CFG, NumericConfig(series_cutoff=16)],
+                         ids=["default_cutoff", "cutoff_16"])
+class TestMzvIdentities:
+    """Classical identities at 1e-14, from the series alone and math."""
+
+    def test_duality(self, cfg):
+        for w in range(2, 11):
+            for k in enumerate_admissible(w):
+                assert abs(eval_mzv(k, cfg) - eval_mzv(dual(k), cfg)) <= 1e-14, k
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_repeated_twos(self, cfg, m):
+        want = math.pi ** (2 * m) / math.factorial(2 * m + 1)
+        assert abs(eval_mzv(Index((2,) * m), cfg) - want) <= 1e-14
+
+    @pytest.mark.parametrize("w", range(2, 13))
+    def test_sum_theorem(self, cfg, w):
+        zeta_w = eval_mzv(Index((w,)), cfg)
+        if w % 2 == 0:
+            assert abs(zeta_w - euler_even_zeta(w // 2)) <= 1e-14
+        by_depth = {}
+        for k in enumerate_admissible(w):
+            by_depth[k.depth] = by_depth.get(k.depth, 0.0) + eval_mzv(k, cfg)
+        assert sorted(by_depth) == list(range(1, w))
+        for d, total in by_depth.items():
+            assert abs(total - zeta_w) <= 1e-14, d
 
 
 class TestBernoulli:
