@@ -17,15 +17,18 @@ t_u close as soon as factor u is consumed, and the resulting exponent pattern
 l_u + p_u + 1, signed by the simplex-integral normalization.  States hold
 integer numerators over the product of 2^e e! (6^e e! for the last factor,
 e = k_u - 1) and no powers of i: a state's phase is (-1)^n i^q, q = its
-monomial's ``phase``.
+monomial's ``phase``.  The last factor hands each state to the canonicalizing
+accumulator of ``lsizeta.algebra`` as integers.  The states after factor u
+depend on k_1..k_u alone, so those after each inner factor of the index
+expanded last are kept in one path, cut back to what the next one shares: the
+truncations k, k^(1), ... of one index convolve their inner factors once.
 
 ``zeta_expr`` assembles the zeta value of an admissible index as the
 convolution sum over truncations of the index paired with conjugated
 truncations of the dual index, a rewriting of the known duality for
 polylogarithms at the sixth root of unity into a statement about zeta values;
 all w + 1 products are summed in one integer accumulation.
-Both functions memoize aggressively: a weight class of zeta expressions reuses
-the same truncated expansions over and over.
+Both memoize: a weight class of zeta expressions reuses the same truncations.
 
 The li_expand memo can persist in one JSON file (the CLI uses
 ``$LSI_CACHE_DIR/li_cache.json``), laid out as
@@ -54,15 +57,18 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
-from .algebra import LsiExpr, canonicalize, conjugate, monomial_from_cols, multiply
+from .algebra import LsiExpr, _canon_cols, _collect, conjugate, multiply
 from .indices import Index, dual, truncate
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
+_PREFIX: list[tuple[int, int, dict]] = []  # (part, den, states) per inner factor
 
 
+@cache
 def _inner_factor_terms(e: int):
     # Multinomial expansion of the u-th factor (u < n) over its 4 summands:
     #   +A(t_{u+1}) | -A(t_u) | -(i/2) t_{u+1} | +(i/2) t_u
@@ -78,9 +84,10 @@ def _inner_factor_terms(e: int):
                     factorial(a_next) * factorial(a_cur)
                     * factorial(t_next) * factorial(t_cur))
                 out.append((a_next, t_next, a_cur, t_cur, coeff))
-    return out
+    return tuple(out)
 
 
+@cache
 def _last_factor_terms(e: int):
     # Last factor: A(t_{n+1}) vanishes and t_{n+1} = pi/3 is constant, so the
     # summands are -A(t_n), +(i/2) t_n and -(i/6) pi.  Times 6^e e! /
@@ -93,45 +100,49 @@ def _last_factor_terms(e: int):
             coeff = sign * 6 ** a_cur * 3 ** t_cur * factorial(e) // (
                 factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
             out.append((c_pi, a_cur, t_cur, coeff))
-    return out
+    return tuple(out)
+
+
+def _inner_states(parts: tuple[int, ...]) -> tuple[int, dict]:
+    """(den, states) after the inner factors ``parts``: state (pending A(t_{u+1}),
+    pending t_{u+1}, finished (k', l) columns) -> integer numerator over den."""
+    j = 0
+    while j < min(len(parts), len(_PREFIX)) and _PREFIX[j][0] == parts[j]:
+        j += 1
+    del _PREFIX[j:]  # the path now holds the prefixes that parts shares
+    den, states = _PREFIX[-1][1:] if _PREFIX else (1, {(0, 0, ()): 1})
+    for ku in parts[j:]:
+        e = ku - 1
+        den *= 2 ** e * factorial(e)
+        new: dict[tuple, int] = {}
+        for (carry_a, carry_t, cols), coeff in states.items():
+            for a_next, t_next, a_cur, t_cur, c in _inner_factor_terms(e):
+                l = carry_t + t_cur
+                key = (a_next, t_next, cols + ((carry_a + a_cur + l + 1, l),))
+                new[key] = new.get(key, 0) + coeff * c
+        states = new
+        _PREFIX.append((ku, den, states))
+    return den, states
 
 
 def _li_expand_uncached(k: Index) -> LsiExpr:
     n = k.depth
     if n == 0:
         return LsiExpr.unit()
-    # state key: (pending A(t_{u+1}) picks, pending t_{u+1} picks, pi-power,
-    #             finished (k', l) columns); value: integer numerator over den
-    states: dict[tuple, int] = {(0, 0, 0, ()): 1}
-    den = 1
-    for u, e in enumerate(ku - 1 for ku in k.parts):
-        last = u == n - 1
-        den *= (6 if last else 2) ** e * factorial(e)
-        terms = _last_factor_terms(e) if last else _inner_factor_terms(e)
-        new: dict[tuple, int] = {}
-        for (carry_a, carry_t, pi, cols), coeff in states.items():
-            for term in terms:
-                if last:
-                    c_pi, a_cur, t_cur, c = term
-                    p = carry_a + a_cur
-                    l = carry_t + t_cur
-                    key = (0, 0, pi + c_pi, cols + ((p + l + 1, l),))
-                else:
-                    a_next, t_next, a_cur, t_cur, c = term
-                    p = carry_a + a_cur
-                    l = carry_t + t_cur
-                    key = (a_next, t_next, pi, cols + ((p + l + 1, l),))
-                new[key] = new.get(key, 0) + coeff * c
-        states = new
+    den, states = _inner_states(k.parts[:-1])
+    e = k.parts[-1] - 1
+    den *= 6 ** e * factorial(e)
+    new: dict[tuple, int] = {}  # (pi-power, columns) -> numerator over den
+    for (carry_a, carry_t, cols), coeff in states.items():
+        for c_pi, a_cur, t_cur, c in _last_factor_terms(e):
+            l = carry_t + t_cur
+            key = (c_pi, cols + ((carry_a + a_cur + l + 1, l),))
+            new[key] = new.get(key, 0) + coeff * c
     # The stripped phases multiply to i^(pi + sum l); with i^n from dt and
-    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den, whose
-    # rational at phase bit 0 is (-1)^(n + q // 2) num/den.
-    acc = {}
-    for (_, _, pi, cols), num in states.items():
-        if num:
-            m = monomial_from_cols(pi, cols)
-            acc[m] = Fraction(-num if (n + m.phase // 2) % 2 else num, den)
-    return canonicalize(LsiExpr(acc, _trusted=True))
+    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den,
+    # q = n + pi + sum l, whose rational at phase bit 0 is (-1)^(n + q // 2) num/den.
+    return _collect(((-num if (n + (n + pi + sum(l for _, l in cols)) // 2) % 2 else num,
+                      den, pi, _canon_cols(cols)) for (pi, cols), num in new.items() if num), 0)
 
 
 def li_expand(k: Index) -> LsiExpr:
@@ -159,8 +170,10 @@ def zeta_expr(k: Index) -> LsiExpr:
         return e
     w = k.weight
     kd = dual(k)
-    first, *rest = ((li_expand(truncate(k, m)), conjugate(li_expand(truncate(kd, w - m))))
-                    for m in range(w + 1))
+    # k's truncations, then kd's: each run shares its inner prefix
+    lis = [li_expand(truncate(k, m)) for m in range(w + 1)]
+    duals = [conjugate(li_expand(truncate(kd, m))) for m in range(w + 1)]
+    first, *rest = zip(lis, reversed(duals))
     e = _ZETA_CACHE[k] = multiply(*first, *rest)
     return e
 
@@ -332,4 +345,5 @@ def clear_caches() -> None:
     global _CACHE_PATH, _DISK
     _LI_CACHE.clear()
     _ZETA_CACHE.clear()
+    _PREFIX.clear()
     _CACHE_PATH = _DISK = None

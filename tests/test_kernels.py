@@ -14,7 +14,9 @@ substitution, and ``mod_rank`` is an independent rank over two 31-bit primes.
 """
 
 import os
+import random
 from fractions import Fraction
+from itertools import chain, zip_longest
 from math import factorial, lcm
 
 import numpy as np
@@ -31,7 +33,8 @@ from lsizeta.algebra import (
     monomial_from_cols,
     multiply,
 )
-from lsizeta.indices import dual, enumerate_admissible, truncate
+from lsizeta import polylog
+from lsizeta.indices import Index, dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
 from lsizeta.relations import (
     RationalMatrix,
@@ -236,6 +239,27 @@ def test_expansions_match_witness(w):
             assert qi(li_expand(t)) == ref_canonicalize(raw), t
             # the other reduction order reaches the same canonical form
             assert qi(canonicalize(lsi(raw))) == ref_canonicalize(raw, "rightmost"), t
+
+
+def test_expansion_order_does_not_matter(fresh_caches):
+    # Each expansion starts from the inner states of the index expanded before
+    # it, so any request order must give the witness's expansions.
+    ts = sorted({t for w in range(2, 9) for k in enumerate_admissible(w)
+                 for t in _truncations(k)}, key=lambda t: t.parts)
+    random.Random(9).shuffle(ts)
+    for t in ts:
+        assert qi(li_expand(t)) == ref_canonicalize(ref_li_raw(t)), t
+    polylog._li_expand_uncached(Index((2, 3)))
+    assert [part for part, _, _ in polylog._PREFIX] == [2]
+    polylog.clear_caches()
+    assert not polylog._PREFIX
+
+
+def test_alternating_families(fresh_caches):
+    a, b = (list(_truncations(Index(p))) for p in [(2, 3, 4), (3, 1, 2)])
+    for t in chain.from_iterable(zip_longest(a, b)):
+        if t is not None:
+            assert qi(li_expand(t)) == ref_canonicalize(ref_li_raw(t)), t
 
 
 def _phase_ok(d):

@@ -207,6 +207,28 @@ class TestCachePersistence:
         assert list(polylog._LI_CACHE) == [Index((2, 3))]
         assert len(polylog._DISK) == n
 
+    def test_disk_entry_inside_a_family(self, tmp_path, monkeypatch):
+        # (2,2) comes from disk between (2,3) and (2,1), which expand around it
+        path = str(tmp_path / "cache.json")
+        li_expand(Index((2, 2)))
+        save_li_cache(path)
+        clear_caches()
+        expected = zeta_expr(Index((2, 3)))
+        truncations = set(polylog._LI_CACHE)
+        clear_caches()
+        computed = []
+        uncached = polylog._li_expand_uncached
+
+        def record(k):
+            computed.append(k)
+            return uncached(k)
+
+        monkeypatch.setattr(polylog, "_li_expand_uncached", record)
+        use_li_cache(path)
+        assert zeta_expr(Index((2, 3))) == expected
+        assert Index((2, 2)) not in computed
+        assert sorted(computed, key=str) == sorted(truncations - {Index((2, 2))}, key=str)
+
     def test_save_only_adds(self, tmp_path):
         path = tmp_path / "cache.json"
         li_expand(Index((2,)))
