@@ -20,6 +20,8 @@ stdout.  ``--max-weight`` (default 8, at most 12) caps the weight of
 ``relations``, ``lk`` and ``verify`` only.  Weights of 8 and above are
 long-running: there ``relations`` and ``lk`` report each expanded zeta row as
 ``expanded i/n (weight w)`` on stderr, through the ``lsizeta`` logger.
+Errors go to stderr as one JSON line ``{"error": ...}``: exit 2 for a usage
+error or a bad setting, exit 1 when a command rejects its input or fails.
 
 If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
 runs in ``$LSI_CACHE_DIR/li_cache.json`` (layout in ``lsizeta.polylog``).  A
@@ -57,7 +59,6 @@ class CliConfig:
     max_weight: int = 8
     precision: float = 1e-8
     output_format: str = "text"
-    use_cr_relations: bool = False
 
     def validate(self):
         if not 2 <= self.max_weight <= 12:
@@ -109,12 +110,6 @@ def _emit_expr(e: LsiExpr, fmt: str) -> str:
 def _report_progress(w: int) -> None:
     # zeta rows of weight 8 and above take long enough to report
     _LOG.setLevel(logging.INFO if w >= 8 else logging.WARNING)
-
-
-def _cr_values(cfg: CliConfig, w: int) -> tuple[int, ...]:
-    if not cfg.use_cr_relations or w % 2 == 0:
-        return ()
-    return tuple(range(1, (w - 1) // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +170,7 @@ def cmd_relations(args, cfg: CliConfig) -> str:
     if w > cfg.max_weight:
         raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
     _report_progress(w)
-    rels = mzv_relations(w, use_cr=_cr_values(cfg, w))
+    rels = mzv_relations(w)
     if cfg.output_format == "json":
         return json.dumps([serialize.relation_to_json(r) for r in rels])
     if cfg.output_format == "latex":
@@ -192,7 +187,7 @@ def cmd_lk(args, cfg: CliConfig) -> str:
     rows = []
     for w in range(2, wmax + 1):
         _report_progress(w)
-        rows.append((w, compute_lk(w, use_cr=_cr_values(cfg, w))))
+        rows.append((w, compute_lk(w)))
     if cfg.output_format == "json":
         return json.dumps([{"weight": w, "lk": v} for w, v in rows])
     if cfg.output_format == "latex":
@@ -240,18 +235,22 @@ def cmd_verify(args, cfg: CliConfig) -> str:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error becomes a ValueError, reported by main as JSON with exit 2
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
     common.add_argument("--max-weight", type=int, default=8,
                         help="weight cap for relations, lk and verify (2..12)")
     common.add_argument("--precision", type=float, default=1e-8,
                         help="numeric verification tolerance (1e-12..1e-4)")
-    common.add_argument("--use-cr", action="store_true",
-                        help="inject the closed-form Re(Li) relations at odd weights")
 
-    p = argparse.ArgumentParser(prog="lsi", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="lsi", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def sub_parser(name: str, help_text: str):
@@ -316,10 +315,10 @@ def _cache_file() -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = CliConfig(max_weight=args.max_weight, precision=args.precision,
-                    output_format=args.format, use_cr_relations=args.use_cr)
     try:
+        args = build_parser().parse_args(argv)
+        cfg = CliConfig(max_weight=args.max_weight, precision=args.precision,
+                        output_format=args.format)
         cfg.validate()
         cache = _cache_file()
     except ValueError as exc:
@@ -333,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     _LOG.setLevel(logging.WARNING)
     try:
         out = args.func(args, cfg)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     finally:

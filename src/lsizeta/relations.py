@@ -17,8 +17,9 @@ The relation pipeline for a weight w:
    by pi), plus the full imaginary matrices of weights w-1-2m lifted by
    pi^(1+2m).
 4. ``reduce_mzv_matrix(w)``: eliminate the relation pivots from the real
-   matrix by exact substitution; ``compute_lk(w)`` is its rank, the upper
-   bound this method gives for the dimension of the weight-w zeta span.
+   matrix by exact substitution.  Its rank, computed by ``compute_lk(w)`` as
+   rank([re; rels]) - rank(rels), is the upper bound this method gives for
+   the dimension of the weight-w zeta span.
 5. ``mzv_relations(w)``: rows of the reduced matrix that vanish entirely give
    explicit Q-linear relations among the zeta values; coefficients are
    returned cleared to coprime integers with a deterministic sign.
@@ -261,15 +262,19 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     return RationalMatrix([row], [f"cr:{k}"], list(basis.monomials))
 
 
-def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
+def ls_relations_for(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
     """All relation rows among the weight-w matching-parity monomials.
 
-    ``im_depth`` controls how many higher weights are mined: for j in
-    range(im_depth) the weight-(w+1+2j) imaginary matrix contributes its
-    echelon rows supported on pi^(1+2j)-divisible columns, divided by
-    pi^(1+2j).  The default 1 mines only weight w+1.  ``use_cr`` adds the
-    closed-form relation rows of ``inject_cr_relation`` for the given k
-    values, lifted by the even pi-power needed to reach weight w.
+    The rows come from two sources, in this order:
+
+    - ``im{w+1}/pi^1``: echelon rows of the weight-(w+1) imaginary matrix
+      whose pivot sits in a pi-divisible column, divided by pi;
+    - ``im{w-1-2m}*pi^{1+2m}``: every echelon row of the imaginary matrix of
+      weight w-1-2m, for w-1-2m = w-1, w-3, ..., 3, times pi^(1+2m).
+
+    ``use_cr`` appends the closed-form rows ``cr:{k}*pi^{w-2k-1}`` of
+    ``inject_cr_relation`` for the given k values.  At odd w <= 11 all of
+    them together raise the rank by (w-3)/2 but leave l_w unchanged.
     """
     if w < 2:
         raise ValueError("weight must be >= 2")
@@ -278,50 +283,33 @@ def ls_relations_for(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) ->
     rows: list[list[Fraction]] = []
     labels: list = []
 
-    for j in range(im_depth):
-        src_w = w + 1 + 2 * j
-        div = 1 + 2 * j
-        src = im_matrix(src_w)
-        ech = src.rref()
-        for row, pc in zip(ech.rows[: len(ech.pivot_cols)], ech.pivot_cols):
-            if src.col_labels[pc].pi_pow < div:
-                continue
-            # pivot in a pi^div-divisible column: the pi-ascending column
-            # order guarantees the whole row is supported there
+    def lift(src: RationalMatrix, src_rows, shift: int, label: str) -> None:
+        # move each row onto the weight-w basis, column label times pi^shift
+        for row in src_rows:
             out = [_ZERO] * len(basis)
             for c, val in enumerate(row):
                 if val:
-                    out[pos[src.col_labels[c].shifted(-div)]] = val
+                    out[pos[src.col_labels[c].shifted(shift)]] = val
             rows.append(out)
-            labels.append(f"im{src_w}/pi^{div}")
+            labels.append(label)
 
-    m = 0
-    while w - 1 - 2 * m >= 3:  # equivalently 0 <= m <= (w-4)/2
-        src_w = w - 1 - 2 * m
-        lift = 1 + 2 * m
+    src = im_matrix(w + 1)
+    ech = src.rref()
+    # a pivot in a pi-divisible column: the pi-ascending column order
+    # guarantees the whole row is supported there
+    lift(src, [row for row, pc in zip(ech.rows, ech.pivot_cols)
+               if src.col_labels[pc].pi_pow >= 1], -1, f"im{w + 1}/pi^1")
+
+    for src_w in range(w - 1, 2, -2):
         src = im_matrix(src_w)
-        for row in src.rref().nonzero_rows():
-            out = [_ZERO] * len(basis)
-            for c, val in enumerate(row):
-                if val:
-                    out[pos[src.col_labels[c].shifted(lift)]] = val
-            rows.append(out)
-            labels.append(f"im{src_w}*pi^{lift}")
-        m += 1
+        lift(src, src.rref().nonzero_rows(), w - src_w, f"im{src_w}*pi^{w - src_w}")
 
     for k in use_cr:
-        src_w = 2 * k + 1
-        lift = w - src_w
-        if lift < 0 or lift % 2:
-            raise ValueError(f"cr relation of weight {src_w} unusable at weight {w}")
+        shift = w - 2 * k - 1
+        if shift < 0 or shift % 2:
+            raise ValueError(f"cr relation of weight {2 * k + 1} unusable at weight {w}")
         src = inject_cr_relation(k)
-        for row in src.nonzero_rows():
-            out = [_ZERO] * len(basis)
-            for c, val in enumerate(row):
-                if val:
-                    out[pos[src.col_labels[c].shifted(lift)]] = val
-            rows.append(out)
-            labels.append(f"cr:{k}*pi^{lift}")
+        lift(src, src.nonzero_rows(), shift, f"cr:{k}*pi^{shift}")
 
     return RationalMatrix(rows, labels, list(basis.monomials))
 
@@ -336,31 +324,29 @@ def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMat
     return RationalMatrix(rows, list(matrix.row_labels), list(matrix.col_labels))
 
 
-def reduce_mzv_matrix(w: int, im_depth: int = 1,
-                      use_cr: tuple[int, ...] = ()) -> RationalMatrix:
+def reduce_mzv_matrix(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
     """Real matrix of weight w after substituting all known monomial relations."""
     base = re_matrix(w)
-    rels = ls_relations_for(w, im_depth, use_cr)
+    rels = ls_relations_for(w, use_cr)
     if not rels.rows:
         return base
     return _eliminate(base, rels)
 
 
-def compute_lk(w: int, im_depth: int = 1, use_cr: tuple[int, ...] = ()) -> int:
+def compute_lk(w: int, use_cr: tuple[int, ...] = ()) -> int:
     """Upper bound for the dimension of the weight-w zeta span: the rank of
     ``reduce_mzv_matrix(w)``, which is zero on the relation pivots, so equals
     rank([re; rels]) - rank(rels)."""
-    rels = ls_relations_for(w, im_depth, use_cr)
+    rels = ls_relations_for(w, use_cr)
     return re_matrix(w).stack(rels).rank - rels.rank
 
 
-def reduce_real_expr(e: LsiExpr, w: int, im_depth: int = 1,
-                     use_cr: tuple[int, ...] = ()) -> LsiExpr:
+def reduce_real_expr(e: LsiExpr, w: int) -> LsiExpr:
     """Substitute the weight-w monomial relations into a real expression."""
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
     mat = RationalMatrix([_expr_row(e, basis, pos)], [None], list(basis.monomials))
-    rels = ls_relations_for(w, im_depth, use_cr)
+    rels = ls_relations_for(w)
     if rels.rows:
         mat = _eliminate(mat, rels)
     return LsiExpr(dict(zip(basis.monomials, mat.rows[0])))
@@ -402,15 +388,14 @@ def _normalize_relation(pairs: list[tuple[Index, Fraction]]) -> MzvRelation:
     return MzvRelation(tuple(ints))
 
 
-def mzv_relations(w: int, im_depth: int = 1,
-                  use_cr: tuple[int, ...] = ()) -> list[MzvRelation]:
+def mzv_relations(w: int) -> list[MzvRelation]:
     """Independent Q-linear relations among the weight-w zeta representatives.
 
     Row-reduce the relation-reduced real matrix augmented with an identity
     block tracking the zeta combination of each row; rows whose monomial part
     vanishes entirely are relations.
     """
-    reduced = reduce_mzv_matrix(w, im_depth, use_cr)
+    reduced = reduce_mzv_matrix(w)
     n = reduced.nrows
     nc = reduced.ncols
     aug = RationalMatrix(

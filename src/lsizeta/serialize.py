@@ -128,11 +128,6 @@ def index_latex(k: Index) -> str:
     return "\\zeta\\left(" + ", ".join(map(str, k.parts)) + "\\right)"
 
 
-def matrix_latex(m: RationalMatrix) -> str:
-    body = " \\\\\n".join(" & ".join(rational_latex(v) for v in row) for row in m.rows)
-    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
-
-
 def relation_latex(r: MzvRelation) -> str:
     chunks = []
     for k, c in r.coefficients:

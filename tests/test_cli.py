@@ -121,6 +121,19 @@ class TestErrors:
         code, _, err = run(capsys, "reduce", "2:5")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("lk", "abc"), ("lk", "5", "--bogus"),
+                                      ("lk", "5", "--use-cr")])
+    def test_usage_error_is_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err.splitlines()[-1])
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lk", "--help"])
+        assert exc.value.code == 0
+        assert "upto" in capsys.readouterr().out
+
 
 def _cache(tmp_path, monkeypatch):
     monkeypatch.setenv("LSI_CACHE_DIR", str(tmp_path))

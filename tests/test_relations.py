@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -22,6 +23,8 @@ from lsizeta.relations import (
 )
 from lsizeta.relations import _expr_row  # declared error surface
 from published_data import (
+    LK_STRETCH,
+    LK_TABLE,
     W4_IM_COLS,
     W4_IM_ROW,
     W5_COLS,
@@ -34,6 +37,10 @@ from published_data import (
     W6_ROWS,
     W6_RREF,
 )
+
+# SHA-256 of f"{w} {label}: {row entries joined by spaces}\n" over the rows of
+# ls_relations_for(w), w = 2..9: the row order and labels `lsi verify` prints
+LS_RELATIONS_SHA256 = "1cb2549de5d73b0e306ee24e9d64a5ebde8de24806d767035c8beb1d132dce12"
 
 
 def mono(ks, ls, pi=0):
@@ -215,6 +222,14 @@ class TestLsRelations:
         assert row[pos[mono((3,), (0,))]] == 1
         assert row[pos[LsiMonomial(3)]] == Fraction(7, 108)
 
+    def test_rows_and_labels_are_byte_stable(self):
+        digest = hashlib.sha256()
+        for w in range(2, 10):
+            rels = ls_relations_for(w)
+            for label, row in zip(rels.row_labels, rels.rows):
+                digest.update(f"{w} {label}: {' '.join(map(str, row))}\n".encode())
+        assert digest.hexdigest() == LS_RELATIONS_SHA256
+
 
 class TestReduceAndRank:
     def test_weight5_reduction_matches_publication(self):
@@ -313,5 +328,9 @@ class TestCrInjection:
         stacked = base.stack(cr)
         assert stacked.rank == base.rank + 1
 
-    def test_lk5_unchanged_by_cr(self):
-        assert compute_lk(5, use_cr=(1, 2)) == 2
+    @pytest.mark.parametrize("w", [3, 5, 7, 9])
+    def test_lk_unchanged_by_cr(self, w):
+        # every closed-form row usable at w is new past w = 3, yet l_w stays
+        cr = tuple(range(1, (w - 1) // 2 + 1))
+        assert ls_relations_for(w, use_cr=cr).rank - ls_relations_for(w).rank == (w - 3) // 2
+        assert compute_lk(w, use_cr=cr) == {**LK_TABLE, **LK_STRETCH}[w]
