@@ -6,11 +6,12 @@ carrying a nonnegative pi-power and paired exponent vectors with
 integrand).  Expressions are finite Q(i)-linear combinations of monomials
 stored with one rational per monomial and one phase bit t per expression:
 the coefficient of m is r when ``m.phase + t`` is even and i*r when it is odd,
-``m.phase`` = q = depth + pi-power + sum l.  Shuffles and reductions keep q and
-products add it, so the bit survives the whole algebra: a plain monomial has
-t = q mod 2 (a real coefficient), the polylogarithm and zeta expansions have
-t = 0 (every coefficient i^q times a rational), a product XORs its factors'
-bits, and expressions with different bits can only be added when one is zero.
+``m.phase`` = q = depth + pi-power + sum l, stored on m when it is built.
+Shuffles and reductions keep q and products add it, so the bit survives the
+whole algebra: a plain monomial has t = q mod 2 (a real coefficient), the
+polylogarithm and zeta expansions have t = 0 (every coefficient i^q times a
+rational), a product XORs its factors' bits, and expressions with different
+bits can only be added when one is zero.
 
 Three rewriting operations generate the whole algebra:
 
@@ -27,16 +28,19 @@ Three rewriting operations generate the whole algebra:
 
 ``multiply`` is shuffle followed by canonicalization, extended bilinearly; it
 is commutative and associative.  Canonical forms and products of monomials
-are cached as integer tables (n/d per monomial) keyed by the column vectors,
+are cached as integer tables (n/d per monomial) keyed by the exponent vectors,
 since the zeta-expression pipeline multiplies the same monomial shapes many
 times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
+Their output monomials are interned and not validated again; ``LsiMonomial``
+validates those from outside: CLI literals, ``serialize.expr_from_json`` and
+so the cache entries it decodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -53,6 +57,7 @@ class LsiMonomial:
     pi_pow: int = 0
     ks: tuple[int, ...] = ()
     ls: tuple[int, ...] = ()
+    phase: int = field(init=False, repr=False, compare=False)  # q, set once below
 
     def __post_init__(self):
         if self.pi_pow < 0:
@@ -62,6 +67,7 @@ class LsiMonomial:
         for k, l in zip(self.ks, self.ls):
             if k < 1 or l < 0 or k - 1 - l < 0:
                 raise ValueError(f"invalid exponent pair (k={k}, l={l})")
+        object.__setattr__(self, "phase", len(self.ks) + self.pi_pow + sum(self.ls))
 
     @property
     def depth(self) -> int:
@@ -83,12 +89,6 @@ class LsiMonomial:
     @property
     def is_canonical(self) -> bool:
         return all(k - 1 - l >= 1 for k, l in zip(self.ks, self.ls))
-
-    @property
-    def phase(self) -> int:
-        """q = depth + pi power + sum l.  Every li and zeta expansion has i^q
-        times a rational as the coefficient of each of its monomials."""
-        return len(self.ks) + self.pi_pow + sum(self.ls)
 
     def cols(self) -> Cols:
         return tuple(zip(self.ks, self.ls))
@@ -318,9 +318,19 @@ def _table(terms) -> Table:
     return den // g, tuple((m, n // g) for m, n in items)
 
 
+class _Interned(dict):
+    # kernel output monomials by (pi_pow, ks, ls), each validated once, when first built
+    def __missing__(self, key) -> LsiMonomial:
+        m = self[key] = LsiMonomial(*key)
+        return m
+
+
+_MONOMIALS = _Interned()
+
+
 def _collect(terms, t: int) -> LsiExpr:
     den, acc = _accumulate(terms)
-    return LsiExpr({LsiMonomial(*m): Fraction(n, den) for m, n in acc.items() if n}, t,
+    return LsiExpr({_MONOMIALS[m]: Fraction(n, den) for m, n in acc.items() if n}, t,
                    _trusted=True)
 
 
@@ -348,32 +358,30 @@ def canonicalize(e: LsiExpr) -> LsiExpr:
                      for m, c in e._terms.items()), e.t)
 
 
-# canonicalized product of two pi-free monomials, cached by column vectors
-_PRODUCT_CACHE: dict[tuple[Cols, Cols], Table] = {}
+# canonicalized product of the pi-free parts of two monomials, by (ks, ls, ks', ls')
+# in both orders
+_PRODUCT_CACHE: dict[tuple, Table] = {}
 
 
-def _product_cols(a: Cols, b: Cols) -> Table:
-    if b < a:
-        a, b = b, a
-    cached = _PRODUCT_CACHE.get((a, b))
-    if cached is not None:
-        return cached
-    table = _table((1, 1, 0, _canon_cols(cols)) for cols in _interleavings(a, b))
-    _PRODUCT_CACHE[(a, b)] = table
-    return table
+def _product_table(a: LsiMonomial, b: LsiMonomial) -> Table:
+    key = a.ks, a.ls, b.ks, b.ls
+    cached = _PRODUCT_CACHE.get(key)
+    if cached is None:
+        cached = _PRODUCT_CACHE[key] = _PRODUCT_CACHE[b.ks, b.ls, a.ks, a.ls] = _table(
+            (1, 1, 0, _canon_cols(cols)) for cols in _interleavings(a.cols(), b.cols()))
+    return cached
 
 
 def _product_terms(pairs):
     # i*r times i*s is -r*s: a product term is negated when both factors are imaginary
     for a, b in pairs:
-        tb = [(m.pi_pow, m.cols(), c.numerator, c.denominator, b.is_imag(m))
-              for m, c in b._terms.items()]
+        tb = [(mb, mb.pi_pow, c.numerator, c.denominator, (mb.phase + b.t) & 1)
+              for mb, c in b._terms.items()]
         for ma, ca in a._terms.items():
-            pa, cols, ia = ma.pi_pow, ma.cols(), a.is_imag(ma)
-            na, da = ca.numerator, ca.denominator
-            for pb, cols_b, nb, db, ib in tb:
-                yield (-na * nb if ia and ib else na * nb, da * db, pa + pb,
-                       _product_cols(cols, cols_b))
+            pa, na, da = ma.pi_pow, ca.numerator, ca.denominator
+            signed = (na, -na) if (ma.phase + a.t) & 1 else (na, na)
+            for mb, pb, nb, db, ib in tb:
+                yield signed[ib] * nb, da * db, pa + pb, _product_table(ma, mb)
 
 
 def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr]) -> LsiExpr:
@@ -418,6 +426,7 @@ def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
 
 
 def clear_caches() -> None:
-    """Drop the monomial-level canonicalization and product caches."""
+    """Drop the canonicalization and product tables and the interned monomials."""
     _CANON_CACHE.clear()
     _PRODUCT_CACHE.clear()
+    _MONOMIALS.clear()

@@ -28,7 +28,8 @@ convolution sum over truncations of the index paired with conjugated
 truncations of the dual index, a rewriting of the known duality for
 polylogarithms at the sixth root of unity into a statement about zeta values;
 all w + 1 products are summed in one integer accumulation.
-Both memoize: a weight class of zeta expressions reuses the same truncations.
+Both memoize: a weight class of zeta expressions reuses the same truncations,
+and the zeta expression of the dual index is the conjugate (see ``zeta_expr``).
 
 The li_expand memo can persist in one JSON file (the CLI uses
 ``$LSI_CACHE_DIR/li_cache.json``), laid out as
@@ -60,6 +61,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from . import algebra
 from .algebra import LsiExpr, _canon_cols, _collect, conjugate, multiply
 from .indices import Index, dual, truncate
 
@@ -105,20 +107,21 @@ def _last_factor_terms(e: int):
 
 def _inner_states(parts: tuple[int, ...]) -> tuple[int, dict]:
     """(den, states) after the inner factors ``parts``: state (pending A(t_{u+1}),
-    pending t_{u+1}, finished (k', l) columns) -> integer numerator over den."""
+    pending t_{u+1}, sum of finished l, finished (k', l) columns) -> integer
+    numerator over den."""
     j = 0
     while j < min(len(parts), len(_PREFIX)) and _PREFIX[j][0] == parts[j]:
         j += 1
     del _PREFIX[j:]  # the path now holds the prefixes that parts shares
-    den, states = _PREFIX[-1][1:] if _PREFIX else (1, {(0, 0, ()): 1})
+    den, states = _PREFIX[-1][1:] if _PREFIX else (1, {(0, 0, 0, ()): 1})
     for ku in parts[j:]:
         e = ku - 1
         den *= 2 ** e * factorial(e)
         new: dict[tuple, int] = {}
-        for (carry_a, carry_t, cols), coeff in states.items():
+        for (carry_a, carry_t, sl, cols), coeff in states.items():
             for a_next, t_next, a_cur, t_cur, c in _inner_factor_terms(e):
                 l = carry_t + t_cur
-                key = (a_next, t_next, cols + ((carry_a + a_cur + l + 1, l),))
+                key = (a_next, t_next, sl + l, cols + ((carry_a + a_cur + l + 1, l),))
                 new[key] = new.get(key, 0) + coeff * c
         states = new
         _PREFIX.append((ku, den, states))
@@ -132,17 +135,17 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
     den, states = _inner_states(k.parts[:-1])
     e = k.parts[-1] - 1
     den *= 6 ** e * factorial(e)
-    new: dict[tuple, int] = {}  # (pi-power, columns) -> numerator over den
-    for (carry_a, carry_t, cols), coeff in states.items():
+    new: dict[tuple, int] = {}  # (pi-power, sum l, columns) -> numerator over den
+    for (carry_a, carry_t, sl, cols), coeff in states.items():
         for c_pi, a_cur, t_cur, c in _last_factor_terms(e):
             l = carry_t + t_cur
-            key = (c_pi, cols + ((carry_a + a_cur + l + 1, l),))
+            key = (c_pi, sl + l, cols + ((carry_a + a_cur + l + 1, l),))
             new[key] = new.get(key, 0) + coeff * c
     # The stripped phases multiply to i^(pi + sum l); with i^n from dt and
     # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den,
     # q = n + pi + sum l, whose rational at phase bit 0 is (-1)^(n + q // 2) num/den.
-    return _collect(((-num if (n + (n + pi + sum(l for _, l in cols)) // 2) % 2 else num,
-                      den, pi, _canon_cols(cols)) for (pi, cols), num in new.items() if num), 0)
+    return _collect(((-num if (n + (n + pi + sl) // 2) % 2 else num,
+                      den, pi, _canon_cols(cols)) for (pi, sl, cols), num in new.items() if num), 0)
 
 
 def li_expand(k: Index) -> LsiExpr:
@@ -162,14 +165,21 @@ def zeta_expr(k: Index) -> LsiExpr:
     Weight-homogeneous of weight |k|; its real part is the log-sine integral
     expression of the zeta value and its imaginary part vanishes numerically,
     yielding a relation among log-sine monomials.
+
+    It is sum_m Li_{k_m} * conj Li_{kd_(w-m)} over the truncations of k and
+    its dual kd, so zeta_expr(kd) == conjugate(zeta_expr(k)) exactly; a memo
+    miss whose dual is memoized conjugates that expansion.
     """
     if not k.admissible:
         raise ValueError(f"zeta expression requires an admissible index, got {k}")
     e = _ZETA_CACHE.get(k)
     if e is not None:
         return e
-    w = k.weight
     kd = dual(k)
+    if kd in _ZETA_CACHE:
+        e = _ZETA_CACHE[k] = conjugate(_ZETA_CACHE[kd])
+        return e
+    w = k.weight
     # k's truncations, then kd's: each run shares its inner prefix
     lis = [li_expand(truncate(k, m)) for m in range(w + 1)]
     duals = [conjugate(li_expand(truncate(kd, m))) for m in range(w + 1)]
@@ -341,8 +351,9 @@ def save_li_cache(path: str) -> int:
 
 
 def clear_caches() -> None:
-    """Empty the memos and forget the cache file and its parsed entries."""
+    """Empty the memos and algebra tables; forget the cache file and its entries."""
     global _CACHE_PATH, _DISK
+    algebra.clear_caches()
     _LI_CACHE.clear()
     _ZETA_CACHE.clear()
     _PREFIX.clear()

@@ -4,9 +4,9 @@ from math import factorial
 
 import pytest
 
-from lsizeta import polylog
-from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, real_part
-from lsizeta.indices import Index, dual, enumerate_admissible
+from lsizeta import algebra, polylog
+from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, multiply, real_part
+from lsizeta.indices import Index, dedupe_by_duality, dual, enumerate_admissible, truncate
 from lsizeta.polylog import (
     clear_caches,
     li_expand,
@@ -124,6 +124,63 @@ class TestZetaExpr:
     def test_self_dual_imag_vanishes(self):
         for parts in [(2,), (2, 2), (1, 3), (1, 2, 3), (2, 2, 2)]:
             assert imag_part(zeta_expr(Index(parts))) == LsiExpr.zero()
+
+
+def _dual_pairs(max_weight):
+    return [k for w in range(2, max_weight + 1)
+            for k in dedupe_by_duality(enumerate_admissible(w), drop_self_dual=True)]
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestDualShortcut:
+    """zeta_expr of an index whose dual is memoized is that expansion conjugated."""
+
+    def test_shortcut_matches_the_full_product(self, monkeypatch):
+        products = []
+        monkeypatch.setattr(polylog, "multiply",
+                            lambda *a: products.append(1) or multiply(*a))
+        for k in _dual_pairs(8):
+            full, short = {}, {}
+            for first, second in ((dual(k), k), (k, dual(k))):
+                polylog._ZETA_CACHE.clear()
+                n = len(products)
+                full[first] = zeta_expr(first)
+                short[second] = zeta_expr(second)
+                assert len(products) == n + 1, (first, second)
+            for kk in (k, dual(k)):
+                assert short[kk] == full[kk] and short[kk].t == full[kk].t, kk
+
+    def test_shortcut_takes_no_product(self, monkeypatch):
+        k = Index((2, 2, 3))
+        e = zeta_expr(k)
+        assert dual(k) != k and conjugate(e) != e
+
+        def no_product(*pairs):
+            raise AssertionError("zeta_expr multiplied")
+
+        monkeypatch.setattr(polylog, "multiply", no_product)
+        assert zeta_expr(dual(k)) == conjugate(e)
+        with pytest.raises(AssertionError, match="multiplied"):
+            zeta_expr(Index((1, 2, 3)))
+
+
+def test_clear_caches_empties_every_expansion_memo():
+    zeta_expr(Index((1, 2, 3)))
+    clear_caches()
+    for memo in (polylog._LI_CACHE, polylog._ZETA_CACHE, polylog._PREFIX,
+                 algebra._CANON_CACHE, algebra._PRODUCT_CACHE, algebra._MONOMIALS):
+        assert not memo
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_kernel_monomials_pass_the_validating_constructor():
+    # _collect builds its monomials unchecked; each must be one the checked
+    # constructor accepts, and canonical unless it is a pure pi-power
+    for k in (k for w in range(2, 9) for k in enumerate_admissible(w)):
+        for e in [zeta_expr(k)] + [li_expand(truncate(k, m)) for m in range(k.weight + 1)]:
+            for m in e.monomials():
+                assert m == LsiMonomial(m.pi_pow, m.ks, m.ls), (k, m)
+                assert m.is_canonical or m.is_pure, (k, m)
 
 
 class TestMgl:
