@@ -17,10 +17,13 @@ Three rewriting operations generate the whole algebra:
 
 * ``shuffle`` expands a product of two monomials as the sum over all
   interleavings of their column pairs (one term per interleaving),
-* ``reduce_at`` eliminates a position with ``k_j - 1 - l_j = 0`` (no
-  log-factor), lowering the depth by one; at the boundary positions powers of
-  the endpoint sigma = pi/3 appear and are folded into the pi-power with a
-  rational factor 3^(-k),
+* ``reduce_at`` eliminates a position j with ``k_j - 1 - l_j = 0`` (no
+  log-factor), lowering the depth by one.  With k = k_j = l_j + 1 the column
+  is integrated out: +1/k times the monomial whose column j-1 becomes
+  (k_{j-1} + k, l_{j-1} + k), a term absent at j = 1, and -1/k times the one
+  whose column j+1 becomes (k_{j+1} + k, l_{j+1} + k); at j = n that column
+  is the endpoint sigma = pi/3, and the term is -1/(k 3^k) times pi^k.  Both
+  terms keep the weight and q,
 * ``canonicalize`` applies ``reduce_at`` until every surviving monomial has
   ``k_u - 1 - l_u >= 1`` everywhere (or is a pure pi-power).  The result does
   not depend on the order in which positions are eliminated, which the test

@@ -112,13 +112,20 @@ def truncate(k: Index, m: int) -> Index:
         raise ValueError("truncation count must be nonnegative")
     if m > k.weight:
         raise ValueError("truncation past empty index")
+    return truncations(k)[m]
+
+
+def truncations(k: Index) -> list[Index]:
+    """``[k^(0), k^(1), ..., k^(|k|)]``, built in one walk down the weight."""
     parts = list(k.parts)
-    for _ in range(m):
+    out = [k]
+    while parts:
         if parts[-1] > 1:
             parts[-1] -= 1
         else:
             parts.pop()
-    return Index(tuple(parts))
+        out.append(Index(tuple(parts)))
+    return out
 
 
 def enumerate_admissible(w: int) -> list[Index]:

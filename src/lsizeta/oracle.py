@@ -152,7 +152,7 @@ def integrate_to_sigma(f) -> float:
 # ---------------------------------------------------------------------------
 # zeta values by outside-in tail summation
 
-_TAIL_ORDER = 40  # powers 1/j .. 1/j^40 kept in each tail expansion
+_TAIL_ORDER = 20  # powers 1/j .. 1/j^20 kept in each tail expansion
 
 
 @lru_cache(maxsize=1)

@@ -14,14 +14,18 @@ constant t_{n+1} = pi/3 contributes a pi-power with a rational factor 1/3 per
 pick), the factors are convolved left to right so the exponents of A(t_u) and
 t_u close as soon as factor u is consumed, and the resulting exponent pattern
 (l_u powers of t_u, p_u powers of A(t_u)) is the monomial with k'_u equal to
-l_u + p_u + 1, signed by the simplex-integral normalization.  States hold
-integer numerators over the product of 2^e e! (6^e e! for the last factor,
-e = k_u - 1) and no powers of i: a state's phase is (-1)^n i^q, q = its
-monomial's ``phase``.  The last factor hands each state to the canonicalizing
-accumulator of ``lsizeta.algebra`` as integers.  The states after factor u
-depend on k_1..k_u alone, so those after each inner factor of the index
-expanded last are kept in one path, cut back to what the next one shares: the
-truncations k, k^(1), ... of one index convolve their inner factors once.
+l_u + p_u + 1, signed by the simplex-integral normalization.  A column that
+closes with p_u = 0 is reduced away at once by the rule stated in
+``lsizeta.algebra``, its next-column term landing on the pending power of
+t_{u+1} (sigma = pi/3 after the last factor), so states hold canonical
+columns only and the last factor yields canonical monomials.  States hold
+integer numerators over the product of 2^e e! lcm(1..k_1 + ... + k_u),
+e = k_u - 1 (3^p more for pi^p), and no powers of i: a state's phase is
+(-1)^n i^q, q = its monomial's ``phase``, which the reductions keep.  The
+states after factor u depend on k_1..k_u alone, so those after each inner
+factor of the index expanded last are kept in one path, cut back to what the
+next one shares: the truncations k, k^(1), ... of one index convolve their
+inner factors once.
 
 ``zeta_expr`` assembles the zeta value of an admissible index as the
 convolution sum over truncations of the index paired with conjugated
@@ -59,11 +63,11 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from . import algebra
-from .algebra import LsiExpr, _canon_cols, _collect, conjugate, multiply
-from .indices import Index, dual, truncate
+from .algebra import LsiExpr, conjugate, multiply
+from .indices import Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
@@ -72,7 +76,7 @@ _PREFIX: list[tuple[int, int, dict]] = []  # (part, den, states) per inner facto
 
 @cache
 def _inner_factor_terms(e: int):
-    # Multinomial expansion of the u-th factor (u < n) over its 4 summands:
+    # Multinomial expansion of the u-th factor over its 4 summands:
     #   +A(t_{u+1}) | -A(t_u) | -(i/2) t_{u+1} | +(i/2) t_u
     # times 2^e e! / i^(t_next + t_cur), yielding (carry_a, carry_t, a_here,
     # t_here, integer coefficient).
@@ -89,63 +93,68 @@ def _inner_factor_terms(e: int):
     return tuple(out)
 
 
-@cache
-def _last_factor_terms(e: int):
-    # Last factor: A(t_{n+1}) vanishes and t_{n+1} = pi/3 is constant, so the
-    # summands are -A(t_n), +(i/2) t_n and -(i/6) pi.  Times 6^e e! /
-    # i^(t_cur + pi_picks), yields (pi_picks, a_here, t_here, integer coefficient).
-    out = []
-    for a_cur in range(e + 1):
-        for t_cur in range(e + 1 - a_cur):
-            c_pi = e - a_cur - t_cur
-            sign = -1 if (a_cur + c_pi) % 2 else 1
-            coeff = sign * 6 ** a_cur * 3 ** t_cur * factorial(e) // (
-                factorial(a_cur) * factorial(t_cur) * factorial(c_pi))
-            out.append((c_pi, a_cur, t_cur, coeff))
-    return tuple(out)
+def _convolve(states: dict, terms, big: int) -> dict:
+    # One factor: close column u of every state with each term, the states'
+    # numerators scaled by big, a multiple of every k that can close here.
+    new: dict[tuple, int] = {}
+    for (carry_a, carry_t, ks, ls), coeff in states.items():
+        coeff *= big
+        for a_next, t_next, a_cur, t_cur, c in terms:
+            l, v = carry_t + t_cur, coeff * c
+            if carry_a + a_cur:
+                key = (a_next, t_next, ks + (carry_a + a_cur + l + 1,), ls + (l,))
+                new[key] = new.get(key, 0) + v
+                continue
+            k = l + 1  # reduced: -1/k onto t_{u+1}, +1/k into the previous column
+            v //= k
+            key = (a_next, t_next + k, ks, ls)
+            new[key] = new.get(key, 0) - v
+            if ks:
+                key = (a_next, t_next, ks[:-1] + (ks[-1] + k,), ls[:-1] + (ls[-1] + k,))
+                new[key] = new.get(key, 0) + v
+    return new
 
 
 def _inner_states(parts: tuple[int, ...]) -> tuple[int, dict]:
     """(den, states) after the inner factors ``parts``: state (pending A(t_{u+1}),
-    pending t_{u+1}, sum of finished l, finished (k', l) columns) -> integer
-    numerator over den."""
+    pending t_{u+1}, ks, ls of the closed columns) -> integer numerator over
+    den.  A column closing with no A-factor is reduced away as it closes (the
+    rule of ``lsizeta.algebra``), so the closed columns are canonical."""
     j = 0
     while j < min(len(parts), len(_PREFIX)) and _PREFIX[j][0] == parts[j]:
         j += 1
     del _PREFIX[j:]  # the path now holds the prefixes that parts shares
-    den, states = _PREFIX[-1][1:] if _PREFIX else (1, {(0, 0, 0, ()): 1})
+    den, states = _PREFIX[-1][1:] if _PREFIX else (1, {(0, 0, (), ()): 1})
+    w = sum(parts[:j])
     for ku in parts[j:]:
-        e = ku - 1
-        den *= 2 ** e * factorial(e)
-        new: dict[tuple, int] = {}
-        for (carry_a, carry_t, sl, cols), coeff in states.items():
-            for a_next, t_next, a_cur, t_cur, c in _inner_factor_terms(e):
-                l = carry_t + t_cur
-                key = (a_next, t_next, sl + l, cols + ((carry_a + a_cur + l + 1, l),))
-                new[key] = new.get(key, 0) + coeff * c
-        states = new
+        w += ku
+        big = lcm(*range(1, w + 1))  # a closing column's k is at most the weight so far
+        den *= 2 ** (ku - 1) * factorial(ku - 1) * big
+        states = _convolve(states, _inner_factor_terms(ku - 1), big)
         _PREFIX.append((ku, den, states))
     return den, states
 
 
 def _li_expand_uncached(k: Index) -> LsiExpr:
-    n = k.depth
+    n, w = k.depth, k.weight
     if n == 0:
         return LsiExpr.unit()
     den, states = _inner_states(k.parts[:-1])
     e = k.parts[-1] - 1
-    den *= 6 ** e * factorial(e)
-    new: dict[tuple, int] = {}  # (pi-power, sum l, columns) -> numerator over den
-    for (carry_a, carry_t, sl, cols), coeff in states.items():
-        for c_pi, a_cur, t_cur, c in _last_factor_terms(e):
-            l = carry_t + t_cur
-            key = (c_pi, sl + l, cols + ((carry_a + a_cur + l + 1, l),))
-            new[key] = new.get(key, 0) + coeff * c
-    # The stripped phases multiply to i^(pi + sum l); with i^n from dt and
-    # (-1)^n from the Ls sign a state's coefficient is (-1)^n i^q num/den,
-    # q = n + pi + sum l, whose rational at phase bit 0 is (-1)^(n + q // 2) num/den.
-    return _collect(((-num if (n + (n + pi + sl) // 2) % 2 else num,
-                      den, pi, _canon_cols(cols)) for (pi, sl, cols), num in new.items() if num), 0)
+    big = lcm(*range(1, w + 1))
+    den *= 2 ** e * factorial(e) * big
+    # A(t_{n+1}) = 0, and the pending power p of t_{n+1} = sigma = pi/3 is pi^p / 3^p
+    last = tuple(term for term in _inner_factor_terms(e) if not term[0])
+    terms = {}
+    for (_, p, ks, ls), num in _convolve(states, last, big).items():
+        if num:
+            # The stripped phases multiply to i^(pi + sum l); with i^n from dt
+            # and (-1)^n from the Ls sign the coefficient is (-1)^n i^q num/den,
+            # q = n + pi + sum l of the raw monomial, which the reductions keep
+            # as m's phase.  At phase bit 0 its rational is (-1)^(n + q // 2) num/den.
+            m = algebra._MONOMIALS[p, ks, ls]
+            terms[m] = Fraction(-num if (n + m.phase // 2) % 2 else num, den * 3 ** p)
+    return LsiExpr(terms, 0, _trusted=True)
 
 
 def li_expand(k: Index) -> LsiExpr:
@@ -179,10 +188,9 @@ def zeta_expr(k: Index) -> LsiExpr:
     if kd in _ZETA_CACHE:
         e = _ZETA_CACHE[k] = conjugate(_ZETA_CACHE[kd])
         return e
-    w = k.weight
     # k's truncations, then kd's: each run shares its inner prefix
-    lis = [li_expand(truncate(k, m)) for m in range(w + 1)]
-    duals = [conjugate(li_expand(truncate(kd, m))) for m in range(w + 1)]
+    lis = [li_expand(t) for t in truncations(k)]
+    duals = [conjugate(li_expand(t)) for t in truncations(kd)]
     first, *rest = zip(lis, reversed(duals))
     e = _ZETA_CACHE[k] = multiply(*first, *rest)
     return e

@@ -7,6 +7,7 @@ from lsizeta.indices import (
     dual,
     enumerate_admissible,
     truncate,
+    truncations,
 )
 
 
@@ -101,6 +102,15 @@ class TestTruncate:
             for m in range(k.weight):
                 assert truncate(k, m + 1) == truncate(truncate(k, m), 1)
                 assert truncate(k, m).weight == k.weight - m
+
+    @pytest.mark.parametrize("w", range(1, 8))
+    def test_truncations_walk_every_step(self, w):
+        for k in [Index((1,) * w), Index((w,))] + (enumerate_admissible(w) if w > 1 else []):
+            steps = truncations(k)
+            assert len(steps) == w + 1 and steps[0] == k and steps[-1] == Index()
+            for a, b in zip(steps, steps[1:]):
+                *head, last = a.parts
+                assert b.parts == tuple(head) + ((last - 1,) if last > 1 else ())
 
 
 class TestEnumerate:

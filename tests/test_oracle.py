@@ -111,6 +111,20 @@ class TestEvalMzv:
         with pytest.raises(ValueError):
             eval_mzv(Index((2, 1)))
 
+    def test_tail_order_matches_order_40(self, monkeypatch):
+        # the tail expansion is cut at _TAIL_ORDER powers of 1/j; at the
+        # default cutoff the terms past it change no float through weight 9
+        ks = [k for w in range(2, 10) for k in enumerate_admissible(w)]
+        oracle._tail_table.cache_clear()
+        got = [eval_mzv(k) for k in ks]
+        monkeypatch.setattr(oracle, "_TAIL_ORDER", 40)
+        oracle._tail_table.cache_clear()
+        try:
+            assert oracle._tail_table().shape == (42, 41)
+            assert [eval_mzv(k) for k in ks] == got
+        finally:
+            oracle._tail_table.cache_clear()
+
 
 def _ref_tail_beyond(term_quarter, term_half, term_last, n):
     # sum_{i > n} of the model c * i^(-s) * (1 + a/i) fitted through the

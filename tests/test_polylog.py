@@ -6,7 +6,14 @@ import pytest
 
 from lsizeta import algebra, polylog
 from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, multiply, real_part
-from lsizeta.indices import Index, dedupe_by_duality, dual, enumerate_admissible, truncate
+from lsizeta.indices import (
+    Index,
+    dedupe_by_duality,
+    dual,
+    enumerate_admissible,
+    truncate,
+    truncations,
+)
 from lsizeta.polylog import (
     clear_caches,
     li_expand,
@@ -173,9 +180,21 @@ def test_clear_caches_empties_every_expansion_memo():
 
 
 @pytest.mark.usefixtures("fresh_caches")
+def test_li_expand_builds_canonical_monomials_without_tables():
+    # columns with no log-factor are reduced inside the convolution, so no
+    # canonicalization or product table is built
+    seen = {t for w in range(2, 9) for k in enumerate_admissible(w) for t in truncations(k)}
+    for t in sorted(seen, key=lambda t: (t.weight, t.parts)):
+        for m in li_expand(t).monomials():
+            assert m.is_canonical and m.weight == t.weight, (t, m)
+    assert not algebra._CANON_CACHE and not algebra._PRODUCT_CACHE
+
+
+@pytest.mark.usefixtures("fresh_caches")
 def test_kernel_monomials_pass_the_validating_constructor():
-    # _collect builds its monomials unchecked; each must be one the checked
-    # constructor accepts, and canonical unless it is a pure pi-power
+    # _collect and li_expand build their monomials unchecked; each must be
+    # one the checked constructor accepts, and canonical unless it is a pure
+    # pi-power
     for k in (k for w in range(2, 9) for k in enumerate_admissible(w)):
         for e in [zeta_expr(k)] + [li_expand(truncate(k, m)) for m in range(k.weight + 1)]:
             for m in e.monomials():
