@@ -7,11 +7,17 @@ imaginary parts for linear relations among the monomials, and row-reduces the
 resulting rational matrices to recover closed forms, explicit Q-linear zeta
 relations and the rank bound l_w on the dimension of each weight class.  A
 floating-point oracle verifies every symbolic layer independently.
+
+The names from ``lsizeta.relations``, which loads numpy, are imported on
+first use, so ``import lsizeta`` and the commands that never row-reduce
+start without numpy.
 """
 
 from .algebra import (
     LsiExpr,
     LsiMonomial,
+    MonomialBasis,
+    build_basis,
     canonicalize,
     conjugate,
     imag_part,
@@ -32,20 +38,19 @@ from .oracle import (
     euler_even_zeta,
 )
 from .polylog import li_expand, mgl_value, zeta_expr
-from .relations import (
-    MonomialBasis,
-    MzvRelation,
-    RationalMatrix,
-    build_basis,
-    compute_lk,
-    im_matrix,
-    inject_cr_relation,
-    ls_relations_for,
-    mzv_relations,
-    re_matrix,
-    reduce_mzv_matrix,
-    reduce_real_expr,
-)
+
+_RELATIONS = {"MzvRelation", "RationalMatrix", "compute_lk", "im_matrix", "inject_cr_relation",
+              "ls_relations_for", "mzv_relations", "re_matrix", "reduce_mzv_matrix",
+              "reduce_real_expr"}
+
+
+def __getattr__(name: str):
+    # PEP 562; any other name, a submodule's included, stays an AttributeError
+    # so that ``from lsizeta import relations`` imports the submodule
+    if name in _RELATIONS:
+        from . import relations
+        return getattr(relations, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

@@ -38,7 +38,8 @@ denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
 Their output monomials are interned and not validated again; ``LsiMonomial``
 validates those from outside: CLI literals, ``serialize.expr_from_json`` and
-so the cache entries it decodes.
+so the cache entries it decodes.  ``build_basis`` lists the canonical
+monomials of one weight and parity, the columns of the relation matrices.
 """
 
 from __future__ import annotations
@@ -426,6 +427,63 @@ def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
         if e.is_imag(m):
             raise ValueError(f"expression has a non-real coefficient at {m}")
     return dict(e._terms)
+
+
+# ---------------------------------------------------------------------------
+# monomial bases
+
+@dataclass(frozen=True)
+class MonomialBasis:
+    """Ordered basis of canonical monomials of one weight and parity class."""
+
+    weight: int
+    parity: str  # "odd" or "even"
+    monomials: tuple[LsiMonomial, ...]
+
+    def position(self) -> dict[LsiMonomial, int]:
+        return {m: i for i, m in enumerate(self.monomials)}
+
+    def __len__(self) -> int:
+        return len(self.monomials)
+
+
+def _compositions_min2(total: int):
+    # compositions of `total` into parts >= 2, any depth >= 1
+    if total >= 2:
+        yield (total,)
+    for first in range(2, total - 1):
+        for rest in _compositions_min2(total - first):
+            yield (first,) + rest
+
+
+def build_basis(w: int, parity: str) -> MonomialBasis:
+    """All canonical monomials of weight ``w`` in one parity class.
+
+    Canonical means every position carries at least one log-factor
+    (``k_u - 1 - l_u >= 1``).  The pure pi^w monomial has parity 0 and is
+    included only in the even basis.
+    """
+    if w < 2:
+        raise ValueError("basis weight must be >= 2")
+    if parity not in ("odd", "even"):
+        raise ValueError("parity must be 'odd' or 'even'")
+    want = 1 if parity == "odd" else 0
+    monos: list[LsiMonomial] = []
+    if want == 0:
+        monos.append(LsiMonomial(w))
+    for pi in range(w - 1):
+        for ks in _compositions_min2(w - pi):
+            # choose the log-factor count p_u in 1..k_u-1 at each position
+            choices: list[tuple[int, ...]] = [()]
+            for k in ks:
+                choices = [c + (p,) for c in choices for p in range(1, k)]
+            for ps in choices:
+                if sum(ps) % 2 != want:
+                    continue
+                ls = tuple(k - 1 - p for k, p in zip(ks, ps))
+                monos.append(LsiMonomial(pi, ks, ls))
+    monos.sort(key=lambda m: m.sort_key())
+    return MonomialBasis(w, parity, tuple(monos))
 
 
 def clear_caches() -> None:

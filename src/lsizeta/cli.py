@@ -45,11 +45,10 @@ import sys
 from dataclasses import dataclass
 
 from . import serialize
-from .algebra import LsiExpr, LsiMonomial, canonicalize, reduce_at, shuffle
+from .algebra import LsiExpr, LsiMonomial, build_basis, canonicalize, reduce_at, shuffle
 from .indices import Index, dual, enumerate_admissible, truncate
 from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
 from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
-from .relations import build_basis, compute_lk, ls_relations_for, mzv_relations
 
 _LOG = logging.getLogger("lsizeta")
 
@@ -170,6 +169,7 @@ def cmd_relations(args, cfg: CliConfig) -> str:
     if w > cfg.max_weight:
         raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
     _report_progress(w)
+    from .relations import mzv_relations  # numpy: only the commands that row-reduce load it
     rels = mzv_relations(w)
     if cfg.output_format == "json":
         return json.dumps([serialize.relation_to_json(r) for r in rels])
@@ -184,6 +184,7 @@ def cmd_lk(args, cfg: CliConfig) -> str:
         raise CliError(f"weight {wmax} is below 2, the least weight with an l_w")
     if wmax > cfg.max_weight:
         raise CliError(f"weight {wmax} exceeds the configured cap {cfg.max_weight}")
+    from .relations import compute_lk
     rows = []
     for w in range(2, wmax + 1):
         _report_progress(w)
@@ -217,6 +218,7 @@ def cmd_verify(args, cfg: CliConfig) -> str:
         val = eval_expr(e, ncfg)
         record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k, ncfg)), cfg.precision)
         record(f"zeta({k}) imaginary part", abs(val.imag), cfg.precision)
+    from .relations import ls_relations_for
     rel = ls_relations_for(w)
     for i, row in enumerate(rel.rows):
         e = LsiExpr(dict(zip(rel.col_labels, row)))

@@ -24,9 +24,31 @@ The relation pipeline for a weight w:
    explicit Q-linear relations among the zeta values; coefficients are
    returned cleared to coprime integers with a deterministic sign.
 
-Entries are ``fractions.Fraction``, row-reduced exactly on rows cleared to
-integers; echelon forms are fully reduced with unit pivots.  Each zeta row built
-for a matrix logs ``expanded i/n (weight w)`` at INFO on ``lsizeta.relations``.
+Entries are ``fractions.Fraction``; echelon forms are fully reduced with unit
+pivots.  Each zeta row built for a matrix logs ``expanded i/n (weight w)`` at
+INFO on ``lsizeta.relations``.
+
+One routine, ``_reduce``, row-reduces for ``rref``, ``rank`` and
+``_eliminate``, multi-modularly with a certificate (Cabay 1971; FLINT's
+``fmpz_mat_rref_mul``).  Rows are cleared to integers A, held as int64
+limbs of 31 bits where an entry does not fit int64, and reduced modulo
+primes below 2^21, from one fixed list, as int64 residues: blocked
+Gauss-Jordan for all primes at once, whose matrix products run in float64 on
+sums of at most 2^11 products, below 2^53 and so exact.  The primes of
+largest rank, then lexicographically least pivots, are kept (this drops a
+prime dividing a pivot minor).  The echelon rows R, and for ``_eliminate``
+the reduced rows E, are lifted by a vectorized Garner CRT modulo M, the
+product of the kept primes, over one common denominator D that rational
+reconstruction (Wang 1981) grows until every entry of D*R is below W, about
+sqrt(M).  Besides the limbs, what outlives a step is int32 (a residue plane
+per kept prime, half as many digit planes), and the steps that widen to
+int64 or float64 take one prime or one block of rows at a time.  The
+certificate checks D*A = A[:, piv] (D*R), plus D*E on the rows of E, modulo
+further primes whose product exceeds max|A| (D + r W) + W, the most the
+sides can differ, so it holds over the integers: every row of A lies in the
+rowspace of R, whose r rows are independent, and A has rank at least r (an
+r x r minor is nonzero modulo a prime), so R is the reduced echelon form of
+A.  A failed lift or check adds primes; nothing is returned unchecked.
 """
 
 from __future__ import annotations
@@ -34,11 +56,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+import numpy as np
 
 from .algebra import (
     LsiExpr,
     LsiMonomial,
+    MonomialBasis,
+    build_basis,
     imag_part,
     rational_coeffs,
     real_part,
@@ -51,100 +77,254 @@ _ONE = Fraction(1)
 _LOG = logging.getLogger(__name__)
 
 
-# ---------------------------------------------------------------------------
-# monomial bases
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Ordered basis of canonical monomials of one weight and parity class."""
-
-    weight: int
-    parity: str  # "odd" or "even"
-    monomials: tuple[LsiMonomial, ...]
-
-    def position(self) -> dict[LsiMonomial, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
-def _compositions_min2(total: int):
-    # compositions of `total` into parts >= 2, any depth >= 1
-    if total >= 2:
-        yield (total,)
-    for first in range(2, total - 1):
-        for rest in _compositions_min2(total - first):
-            yield (first,) + rest
-
-
-def build_basis(w: int, parity: str) -> MonomialBasis:
-    """All canonical monomials of weight ``w`` in one parity class.
-
-    Canonical means every position carries at least one log-factor
-    (``k_u - 1 - l_u >= 1``).  The pure pi^w monomial has parity 0 and is
-    included only in the even basis.
-    """
-    if w < 2:
-        raise ValueError("basis weight must be >= 2")
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    want = 1 if parity == "odd" else 0
-    monos: list[LsiMonomial] = []
-    if want == 0:
-        monos.append(LsiMonomial(w))
-    for pi in range(w - 1):
-        for ks in _compositions_min2(w - pi):
-            # choose the log-factor count p_u in 1..k_u-1 at each position
-            choices: list[tuple[int, ...]] = [()]
-            for k in ks:
-                choices = [c + (p,) for c in choices for p in range(1, k)]
-            for ps in choices:
-                if sum(ps) % 2 != want:
-                    continue
-                ls = tuple(k - 1 - p for k, p in zip(ks, ps))
-                monos.append(LsiMonomial(pi, ks, ls))
-    monos.sort(key=lambda m: m.sort_key())
-    return MonomialBasis(w, parity, tuple(monos))
-
-
 def _parity_name(n: int) -> str:
     return "odd" if n % 2 else "even"
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices
+# exact rational matrices: multi-modular elimination with a certificate
 
-def _fraction_free(rows: list[list[Fraction]], npivot: int):
-    """Fraction-free Gauss-Jordan elimination (after Bareiss 1968): clear rows
-    to integers; clear each column nonzero in an unused row among the
-    first ``npivot`` from all others by ``row = (pv/g)*row - (f/g)*pivot_row``
-    and division by the row content.  Returns the integer rows, pivot rows
-    first, and the pivot columns."""
-    m = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, npivot) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                new = [a * x - b * y for x, y in zip(row, m[r])]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        if len(pivots) == npivot:
+_CHUNK = 1 << 11  # float64 sums of 2^11 products of residues below 2^21 are exact
+_ODD = prod(range(3, 1449, 2))  # odd n in (1447, 1449^2) is prime iff gcd(n, _ODD) = 1
+_PRIMES: list[int] = []
+
+
+def _primes(lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of the fixed list of primes, counting down from 2^21."""
+    p = _PRIMES[-1] if _PRIMES else (1 << 21) + 1
+    while len(_PRIMES) < hi:
+        p -= 2
+        if gcd(p, _ODD) == 1:
+            _PRIMES.append(p)
+    return np.array(_PRIMES[lo:hi], dtype=np.int64)
+
+
+def _limbs(ints: list[list[int]], shape: tuple[int, int]) -> list[np.ndarray]:
+    """int64 planes L_j of the integer matrix A = sum_j L_j 2^(31 j)."""
+    try:
+        return [np.array(ints, dtype=np.int64).reshape(shape)]
+    except OverflowError:
+        low = np.array([[x & 0x7FFFFFFF for x in row] for row in ints], dtype=np.int64)
+        return [low.reshape(shape)] + _limbs([[x >> 31 for x in row] for row in ints], shape)
+
+
+def _residues(limbs: list[np.ndarray], ps: np.ndarray) -> np.ndarray:
+    """(P, m, n) residues modulo the primes ps of the matrix with these limbs,
+    one prime at a time to bound the temporaries."""
+    z = np.empty((len(ps),) + limbs[0].shape, dtype=np.int64)
+    for i, p in enumerate(ps.tolist()):
+        z[i] = limbs[-1] % p
+        for low in limbs[-2::-1]:  # Horner
+            z[i] = (z[i] * ((1 << 31) % p) + low % p) % p
+    return z
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of residues in float64, exact up to _CHUNK terms a sum."""
+    return np.matmul(x.astype(float), y.astype(float))
+
+
+def _steps(a: np.ndarray, ps: np.ndarray, free: np.ndarray):
+    """Gauss-Jordan steps on residues ``a`` (P, m, n) modulo all primes ``ps``
+    at once, in place, for at most 64 pivots: each prime pivots on its first
+    nonzero row still ``free`` (P, m), and a prime with no pivot in a column
+    where another has one is dropped.  Entries off the pivot row and column
+    grow by under 2^42 a step and are reduced at the end.  Returns the kept
+    residues, free rows and prime indices, the pivot columns and each kept
+    prime's pivot rows (P, s)."""
+    keep, cols, rows = np.arange(len(ps)), [], []
+    k, p, left = keep, ps[:, None], int(free[0].sum()) if len(ps) else 0
+    for c in range(a.shape[2]):
+        if len(cols) == left:
             break
-    return m, pivots
+        col = a[:, :, c] % p
+        nz = (col != 0) & free
+        has = nz.any(axis=1)
+        if not has.all():
+            if not has.any():
+                continue
+            a, free, col, nz, keep = a[has], free[has], col[has], nz[has], keep[has]
+            k, p, rows = np.arange(len(keep)), ps[keep, None], [i[has] for i in rows]
+        i = nz.argmax(axis=1)
+        free[k, i] = False
+        inv = [pow(x, -1, q) for x, q in zip(col[k, i].tolist(), p[:, 0].tolist())]
+        prow = a[k, i, c:] % p * np.array(inv)[:, None] % p
+        col[k, i] = 0
+        a[:, :, c:] -= col[:, :, None] * prow[:, None]
+        a[k, i, c:] = prow
+        cols.append(c)
+        rows.append(i)
+    a %= p[:, :, None]
+    return a, free, keep, cols, np.array(rows, dtype=np.int64).reshape(len(cols), len(keep)).T
+
+
+def _gauss_jordan(a: np.ndarray, ps: np.ndarray, npivot: int):
+    """Gauss-Jordan elimination of residues ``a`` (P, m, n), pivots in the
+    first ``npivot`` rows: ``_steps`` on each panel of 64 columns, then the
+    later columns X by two products, X <- X - L Y and X_s <- Y = S^-1 X_s,
+    with L the panel's pivot columns, S and X_s their pivot rows.  Returns
+    the kept primes' pivot rows in pivot order and then their rows after
+    npivot, the kept primes and the pivot columns."""
+    free = np.zeros(a.shape[:2], dtype=bool)
+    free[:, :npivot] = True
+    n, cols, rows = a.shape[2], [], np.zeros((len(ps), 0), dtype=np.int64)
+    for c0 in range(0, n, 64):
+        panel, free, keep, pc, pr = _steps(a[:, :, c0:c0 + 64].copy(), ps, free)
+        if len(keep) < len(ps):
+            a, ps, rows = a[keep], ps[keep], rows[keep]
+        k, s, p3 = np.arange(len(ps))[:, None], len(pc), ps[:, None, None]
+        if s and c0 + 64 < n:
+            x, lead = a[:, :, c0 + 64:], a[:, :, [c0 + j for j in pc]]
+            eye = np.broadcast_to(np.eye(s, dtype=np.int64), (len(ps), s, s))
+            inv, *_, ir = _steps(np.concatenate([lead[k, pr], eye], axis=2), ps,
+                                 np.ones((len(ps), s), dtype=bool))
+            y = _dot(inv[k, ir, s:], x[k, pr]).astype(np.int64) % p3
+            for i in range(0, a.shape[1], 256):  # row blocks bound the float64 temporaries
+                xi = x[:, i:i + 256]
+                np.subtract(xi, _dot(lead[:, i:i + 256], y), out=xi, casting="unsafe")
+            np.remainder(x, p3, out=x)
+            x[k, pr] = y
+        a[:, :, c0:c0 + 64] = panel
+        cols += [c0 + j for j in pc]
+        rows = np.concatenate([rows, pr], axis=1)
+    z = np.empty((len(ps), rows.shape[1] + a.shape[1] - npivot, a.shape[2]), dtype=np.int32)
+    for i in range(len(ps)):  # one prime at a time to bound the temporaries
+        z[i] = np.concatenate([a[i, rows[i]], a[i, npivot:]])
+    return z, ps, cols
+
+
+def _garner(zs: list[np.ndarray], ps: np.ndarray, D: int) -> np.ndarray:
+    """Mixed-radix digits v of D*z from the residues zs[k] of z modulo ps[k]:
+    D*z = v_0 + v_1 p_0 + v_2 p_0 p_1 + ... modulo every prime, 0 <= v_k < p_k,
+    as int32, one int64 plane at a time."""
+    v = np.empty((len(ps),) + zs[0].shape, dtype=np.int32)
+    for k, p in enumerate(ps.tolist()):
+        t, w = zs[k].astype(np.int64) * (D % p), 1  # w = p_0 ... p_{j-1} mod p
+        for j, q in enumerate(ps[:k].tolist()):
+            t -= v[j] * np.int64(w)
+            w = w * q % p
+        v[k] = t % p * pow(w, -1, p) % p
+    return v
+
+
+def _denominator(u: int, M: int, N: int) -> int | None:
+    """Rational reconstruction (Wang 1981): the denominator b of u mod M whose
+    numerator is at most N in size, if b < M / (2N)."""
+    r0, r1, t0, t1 = M, u, 0, 1
+    while r1 > N:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 2 * N * abs(t1) < M else None
+
+
+def _lift(zs: list[np.ndarray], ps: np.ndarray):
+    """Rationals z from residues zs[k] modulo ps[k], over a common denominator
+    D grown from the first and last entry of each row D does not yet clear,
+    in blocks of 64 rows until a sweep grows D no more.  Returns D, the first
+    h = ceil(K/2) mixed-radix digits of D*z, its sign mask and the prefix
+    products W[0..h] of the primes, where |D*z| < W[h] makes
+    D*z = sum_k v_k W[k] - W[h] * negative; None if the primes do not suffice."""
+    W = [1]
+    for p in ps.tolist():
+        W.append(W[-1] * p)
+    K, D, grown = len(ps), 1, True
+    h = (K + 1) // 2
+    digits = np.empty((h,) + zs[0].shape, dtype=np.int32)
+    neg = np.empty(zs[0].shape, dtype=bool)
+    while grown:
+        grown = False
+        for i0 in range(0, len(neg), 64):
+            if 2 * D * W[h] >= W[K]:
+                return None
+            v = _garner([z[i0:i0 + 64] for z in zs], ps, D)
+            digits[:, i0:i0 + 64] = v[:h]
+            neg[i0:i0 + 64] = (v[h:] == ps[h:, None, None] - 1).all(axis=0)
+            bad, b = ~(neg[i0:i0 + 64] | (v[h:] == 0).all(axis=0)), 1
+            for i in np.flatnonzero(bad.any(axis=1)).tolist():
+                js = np.flatnonzero(bad[i])
+                for j in {js[0], js[-1]}:
+                    d = _denominator(sum(x * w for x, w in zip(v[:, i, j].tolist(), W)), W[K], W[h] - 1)
+                    if d is None:
+                        return None
+                    b = lcm(b, d)
+            D, grown = D * b, grown or b > 1
+    return D, digits, neg, W[:h + 1]
+
+
+def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], npivot: int,
+               lifted, first: int) -> bool:
+    """Whether D*A = A[:, piv] (D*R), plus D*E on the rows after npivot, holds
+    modulo the primes from index ``first`` on whose product exceeds the most
+    the sides can differ, and so over Z.  It holds on the pivot columns by
+    construction (D*R is D*I there, D*E zero), so only the others are checked."""
+    D, v, neg, W = lifted
+    K, r = len(v), len(piv)
+    other = sorted(set(range(limbs[0].shape[1])) - set(piv))
+    small = W[K]
+    limit, last, modulus = bound * (D + r * small) + small, first, 1
+    while modulus <= limit:
+        modulus, last = modulus * int(_primes(last, last + 1)[0]), last + 1
+    step = max(1, (1 << 20) // max(1, v[0].size))  # primes per pass, to bound memory
+    for lo in range(first, last, step):
+        qs = _primes(lo, min(lo + step, last))
+        q3 = qs[:, None, None]
+        wq = np.array([[w % q for w in W + [D]] for q in qs.tolist()], dtype=np.int64)
+        dz = neg[:, other] * -wq[:, K, None, None]
+        for k in range(K):
+            dz += v[k][:, other] * wq[:, k, None, None]
+        dz %= q3
+        aq = _residues(limbs, qs)
+        diff = aq[:, :, other] * wq[:, K + 1, None, None] - sum(
+            _dot(aq[:, :, piv[j:j + _CHUNK]], dz[:, j:min(j + _CHUNK, r)]).astype(np.int64) % q3
+            for j in range(0, r, _CHUNK))
+        diff[:, npivot:] -= dz[:, r:]
+        if (diff % q3).any():
+            return False
+    return True
+
+
+def _reduce(rows: list[list[Fraction]], npivot: int, values: bool = True):
+    """Exact Gauss-Jordan elimination, pivots in the first ``npivot`` rows, as
+    the module docstring describes.  Returns the pivot columns and, if
+    ``values``, the echelon rows and then the later rows reduced by them."""
+    scales, ints = [], []
+    for row in rows:
+        pairs = [x.as_integer_ratio() for x in row]
+        scales.append(lcm(*(d for _, d in pairs)))
+        ints.append([n * (scales[-1] // d) for n, d in pairs])
+    limbs = _limbs(ints, (len(rows), len(rows[0]) if rows else 0))
+    del ints
+    # max|A| <= sum_j max|L_j| 2^(31 j), in Python ints: |-2^63| does not fit int64
+    bound = sum(max(int(x.max()), -int(x.min())) << 31 * j
+                for j, x in enumerate(limbs)) if limbs[0].size else 0
+    piv, kept, zs, used = None, [], [], 0
+    while True:
+        ps = _primes(used, used + max(4, len(kept) // 2))
+        used += len(ps)
+        z, ps, p = _gauss_jordan(_residues(limbs, ps), ps, npivot)
+        # keep the primes of largest rank, then lexicographically least pivots
+        if piv is None or (-len(p), p) < (-len(piv), piv):
+            piv, kept, zs = p, [], []
+        if p == piv:
+            kept, zs = kept + ps.tolist(), zs + list(z)
+        del z
+        lifted = _lift(zs, np.array(kept))
+        if lifted is not None and _certified(limbs, bound, piv, npivot, lifted, used):
+            break
+    if not values:
+        return piv, None
+    D, v, neg, W = lifted
+    del zs, lifted, limbs
+    h, dens, out = len(v), [D] * len(piv) + [D * d for d in scales[npivot:]], []
+    dt = np.int64 if W[h] < 1 << 63 else object
+    for i in range(0, len(dens), 256):  # D*z as int64 if it fits, else Python ints
+        num = -neg[i:i + 256].astype(dt) * W[h]
+        for g in range(0, h, 3):  # three 21-bit digits at a time fit in int64
+            num += sum(v[k, i:i + 256] * np.int64(W[k] // W[g])
+                       for k in range(g, min(g + 3, h))).astype(dt) * W[g]
+        out += [[Fraction(x, d) if x else _ZERO for x in row]
+                for row, d in zip(num.tolist(), dens[i:i + 256])]
+    return piv, out
 
 
 @dataclass
@@ -166,10 +346,8 @@ class RationalMatrix:
 
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form: unit pivots, zeros above and below."""
-        m, pivots = _fraction_free(self.rows, self.nrows)
-        rows = [[Fraction(x, row[c]) if x else _ZERO for x in row]
-                for row, c in zip(m, pivots)]
-        rows += [[_ZERO] * len(row) for row in m[len(pivots):]]
+        pivots, rows = _reduce(self.rows, self.nrows)
+        rows += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
         return RationalMatrix(rows, [None] * self.nrows, list(self.col_labels),
                               tuple(pivots))
 
@@ -177,7 +355,7 @@ class RationalMatrix:
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(_fraction_free(self.rows, self.nrows)[1])
+        return len(_reduce(self.rows, self.nrows, values=False)[0])
 
     def nonzero_rows(self) -> list[list[Fraction]]:
         return [row for row in self.rows if any(row)]
@@ -315,13 +493,11 @@ def ls_relations_for(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
 
 
 def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMatrix:
-    """Zero the relation pivot columns of ``matrix`` by exact substitution."""
-    # a last column, 1 on matrix rows and 0 on relations, carries each row's scale
-    m, _ = _fraction_free([row + [_ZERO] for row in relations.rows]
-                          + [row + [_ONE] for row in matrix.rows], relations.nrows)
-    rows = [[Fraction(x, row[-1]) if x else _ZERO for x in row[:-1]]
-            for row in m[relations.nrows:]]
-    return RationalMatrix(rows, list(matrix.row_labels), list(matrix.col_labels))
+    """Zero the relation pivot columns of ``matrix`` by exact substitution:
+    each row less its pivot entries times the relations' echelon rows."""
+    pivots, rows = _reduce(relations.rows + matrix.rows, relations.nrows)
+    return RationalMatrix(rows[len(pivots):], list(matrix.row_labels),
+                          list(matrix.col_labels))
 
 
 def reduce_mzv_matrix(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:

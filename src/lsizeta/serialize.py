@@ -13,10 +13,13 @@ makes it; ``expr_from_json`` rejects terms that disagree on the phase bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import LsiExpr, LsiMonomial
+from .algebra import LsiExpr, LsiMonomial, MonomialBasis
 from .indices import Index
-from .relations import MonomialBasis, MzvRelation, RationalMatrix
+
+if TYPE_CHECKING:  # relations loads numpy, which no emitter needs
+    from .relations import MzvRelation, RationalMatrix
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ rational, a local pair of ``Fraction``s, so the witness assumes no phase rule,
 and every step takes a gcd.  They share nothing with the library but the
 shuffle interleavings and the single reduction step.
 
-``relations`` row-reduces over the integers.  ``ref_rref`` and
-``ref_eliminate`` are the earlier ``Fraction`` Gauss-Jordan loop and
-substitution, and ``mod_rank`` is an independent rank over two 31-bit primes.
+``relations`` row-reduces modulo many primes and lifts the result, with a
+certificate.  Its witnesses: ``ref_rref`` and ``ref_eliminate``, the earlier
+``Fraction`` Gauss-Jordan loop and substitution; ``_fraction_free``, the
+earlier integer Gauss-Jordan kernel (Bareiss 1968), with ``ff_eliminate``,
+its scale-column substitution; and ``mod_rank``, an independent rank over two
+31-bit primes.
 """
 
 import os
 import random
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 import pytest
@@ -33,12 +36,13 @@ from lsizeta.algebra import (
     monomial_from_cols,
     multiply,
 )
-from lsizeta import polylog
+from lsizeta import polylog, relations
 from lsizeta.indices import Index, dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
 from lsizeta.relations import (
     RationalMatrix,
     _eliminate,
+    _primes,
     compute_lk,
     im_matrix,
     ls_relations_for,
@@ -380,6 +384,52 @@ def ref_eliminate(rows, relations):
     return out
 
 
+def _fraction_free(rows, npivot):
+    """Fraction-free Gauss-Jordan elimination (after Bareiss 1968): clear rows
+    to integers; clear each column nonzero in an unused row among the
+    first ``npivot`` from all others by ``row = (pv/g)*row - (f/g)*pivot_row``
+    and division by the row content.  Returns the integer rows, pivot rows
+    first, and the pivot columns."""
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, npivot) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * x - b * y for x, y in zip(row, m[r])]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        if len(pivots) == npivot:
+            break
+    return m, pivots
+
+
+def ff_rref(rows):
+    m, pivots = _fraction_free(rows, len(rows))
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + [[ZERO] * len(row) for row in m[len(pivots):]], tuple(pivots)
+
+
+def ff_eliminate(rows, relations):
+    """Substitution by ``_fraction_free`` with a last column, 1 on the rows and
+    0 on the relations, that carries each row's scale."""
+    m, _ = _fraction_free([row + [ZERO] for row in relations]
+                         + [row + [ONE] for row in rows], len(relations))
+    return [[Fraction(x, row[-1]) for x in row[:-1]] for row in m[len(relations):]]
+
+
 def assert_rref_matches(matrix):
     got = matrix.rref()
     rows, pivots = ref_rref(matrix.rows)
@@ -405,13 +455,15 @@ def mzv_augmented(w):
 ])
 def test_rref_matches_witness(build, w):
     assert_rref_matches(build(w))
+    if build is im_matrix:
+        assert ff_rref(build(w).rows) == ref_rref(build(w).rows)
 
 
 @pytest.mark.parametrize("w", range(2, 9))
 def test_eliminate_matches_witness(w):
     base, rels = re_matrix(w), ls_relations_for(w)
     got = _eliminate(base, rels)
-    assert got.rows == ref_eliminate(base.rows, rels.rows)
+    assert got.rows == ref_eliminate(base.rows, rels.rows) == ff_eliminate(base.rows, rels.rows)
     assert got.row_labels == base.row_labels and got.col_labels == base.col_labels
 
 
@@ -458,6 +510,97 @@ def test_eliminate_matches_witness_on_random_matrices(pair):
     rows, relations = pair
     got = _eliminate(RationalMatrix(rows), RationalMatrix(relations))
     assert got.rows == ref_eliminate(rows, relations)
+
+
+# entries beyond int64: numerators up to 2^70 over denominators up to 2^40
+huge = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40))
+
+
+@st.composite
+def huge_matrices(draw, nc=None):
+    nc = nc or draw(st.integers(1, 6))
+    rows = [[draw(st.one_of(st.just(ZERO), huge)) for _ in range(nc)]
+            for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):  # a dependent row
+        f, g = draw(huge), draw(huge)
+        rows.append([f * x + g * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(huge_matrices())
+def test_rref_matches_witnesses_beyond_int64(rows):
+    got = RationalMatrix(rows).rref()
+    assert (got.rows, got.pivot_cols) == ref_rref(rows) == ff_rref(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda nc: st.tuples(huge_matrices(nc), huge_matrices(nc))))
+def test_eliminate_matches_witnesses_beyond_int64(pair):
+    rows, relations = pair
+    got = _eliminate(RationalMatrix(rows), RationalMatrix(relations))
+    assert got.rows == ref_eliminate(rows, relations) == ff_eliminate(rows, relations)
+
+
+def spy(monkeypatch, name, change=None):
+    """Record each call of a ``relations`` kernel function, with its result
+    passed through ``change`` (the call number and the result) if given."""
+    calls, original = [], getattr(relations, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        if change is not None:
+            result = change(len(calls), result)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(relations, name, wrapper)
+    return calls
+
+
+def test_prime_without_the_pivot_is_dropped(monkeypatch):
+    # column 0 is p_0 and 0: modulo the first prime it has no pivot, so that
+    # prime would give rank 1 and pivots (1,) where the others give (0, 1)
+    p0 = int(_primes(0, 1)[0])
+    rows = [[Fraction(p0), ONE], [ZERO, Fraction(1, 3)]]
+    eliminations = spy(monkeypatch, "_gauss_jordan")
+    assert_rref_matches(RationalMatrix(rows))
+    for (_, primes, _), (_, kept, pivots) in eliminations:
+        assert primes[0] != p0 or p0 not in kept.tolist()
+        assert pivots == [0, 1]
+    assert any(primes[0] == p0 for (_, primes, _), _ in eliminations)
+
+
+def test_corrupted_reconstruction_is_rejected(monkeypatch):
+    # one entry of D*R off by one: the certificate must fail, and the kernel
+    # must lift again from more primes instead of returning a wrong R
+    matrix = im_matrix(6)
+    ech, pivots = ref_rref(matrix.rows)
+    j = next(c for c, x in enumerate(ech[0]) if x and c not in pivots)
+
+    def corrupt(n, lifted):
+        if n or lifted is None:
+            return lifted
+        D, v, neg, W = lifted
+        v = v.copy()
+        v[0, 0, j] = (v[0, 0, j] + 1) % relations._PRIMES[0]
+        return D, v, neg, W
+
+    lifts = spy(monkeypatch, "_lift", corrupt)
+    checks = spy(monkeypatch, "_certified")
+    assert_rref_matches(matrix)
+    assert checks[0][1] is False and checks[-1][1] is True
+    assert len(lifts[1][0][1]) > len(lifts[0][0][1])  # the retry has more primes
+
+
+def test_bound_covers_the_most_negative_int64(monkeypatch):
+    # -2^63 fits int64 but its magnitude does not: the certificate's bound on
+    # max|A| must still reach 2^63, or too few primes would be checked
+    rows = [[Fraction(-2**63), ONE, Fraction(3)], [ONE, ZERO, Fraction(-2**63)]]
+    checks = spy(monkeypatch, "_certified")
+    got = RationalMatrix(rows).rref()
+    assert (got.rows, got.pivot_cols) == ref_rref(rows)
+    assert checks and all(args[1] >= 2**63 for args, _ in checks)
 
 
 # ---------------------------------------------------------------------------
