@@ -24,22 +24,22 @@ Errors go to stderr as one JSON line ``{"error": ...}``: exit 2 for a usage
 error or a bad setting, exit 1 when a command rejects its input or fails.
 
 If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
-runs in ``$LSI_CACHE_DIR/li_cache.json`` (layout in ``lsizeta.polylog``).  A
-command reads the file only when it needs an expansion it has not computed,
-and decodes only the entries it needs, so ``dual``, ``trunc``, ``shuffle``,
-``reduce`` and ``basis`` never open it.  After printing its result a command
-rewrites the file only if it computed expansions the file lacked, creating
-the directory then.  A rejected file or entry (unparsable, another format, a
-failed checksum or weight check) costs one line on stderr and is
-recomputed; stdout is the same as without the cache.  An ``LSI_CACHE_DIR``
-that exists but is not a directory is a JSON error with exit 2.
+runs in ``$LSI_CACHE_DIR/li_cache.json``, one JSON line each (layout in
+``lsizeta.polylog``).  A command reads the file only when it needs an
+expansion it has not computed, and decodes only those lines, so ``dual``,
+``trunc``, ``shuffle``, ``reduce`` and ``basis`` never open it.  After
+printing its result it appends, in one write, the expansions the file lacked.
+A rejected file or line (another format, a bad key, a failed checksum as of a
+torn line, a failed weight or phase check) costs one stderr line and is
+recomputed, so stdout never changes; a missing or rejected file is written
+anew.  An ``LSI_CACHE_DIR`` that is not a directory is a JSON error, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -49,8 +49,6 @@ from .algebra import LsiExpr, LsiMonomial, build_basis, canonicalize, reduce_at,
 from .indices import Index, dual, enumerate_admissible, truncate
 from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
 from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
-
-_LOG = logging.getLogger("lsizeta")
 
 
 @dataclass
@@ -106,9 +104,22 @@ def _emit_expr(e: LsiExpr, fmt: str) -> str:
     return str(e)
 
 
-def _report_progress(w: int) -> None:
-    # zeta rows of weight 8 and above take long enough to report
-    _LOG.setLevel(logging.INFO if w >= 8 else logging.WARNING)
+@contextlib.contextmanager
+def _progress(w: int):
+    # zeta rows of weight 8 and above take long enough to report: each goes
+    # to this call's stderr, and the logger is left as it was found.  Only
+    # relations and lk report, so the light commands never load logging.
+    import logging
+
+    log = logging.getLogger("lsizeta")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO if w >= 8 else logging.WARNING)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +179,9 @@ def cmd_relations(args, cfg: CliConfig) -> str:
     w = args.weight
     if w > cfg.max_weight:
         raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
-    _report_progress(w)
     from .relations import mzv_relations  # numpy: only the commands that row-reduce load it
-    rels = mzv_relations(w)
+    with _progress(w):
+        rels = mzv_relations(w)
     if cfg.output_format == "json":
         return json.dumps([serialize.relation_to_json(r) for r in rels])
     if cfg.output_format == "latex":
@@ -187,8 +198,8 @@ def cmd_lk(args, cfg: CliConfig) -> str:
     from .relations import compute_lk
     rows = []
     for w in range(2, wmax + 1):
-        _report_progress(w)
-        rows.append((w, compute_lk(w)))
+        with _progress(w):
+            rows.append((w, compute_lk(w)))
     if cfg.output_format == "json":
         return json.dumps([{"weight": w, "lk": v} for w, v in rows])
     if cfg.output_format == "latex":
@@ -327,19 +338,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     use_li_cache(cache)
-    # progress goes to this call's stderr, only where a command raises the
-    # level; the logger is left as it was found
-    handler, level = logging.StreamHandler(sys.stderr), _LOG.level
-    _LOG.addHandler(handler)
-    _LOG.setLevel(logging.WARNING)
     try:
         out = args.func(args, cfg)
     except (CliError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    finally:
-        _LOG.removeHandler(handler)
-        _LOG.setLevel(level)
     print(out)
     if cache:
         try:

@@ -35,31 +35,30 @@ all w + 1 products are summed in one integer accumulation.
 Both memoize: a weight class of zeta expressions reuses the same truncations,
 and the zeta expression of the dual index is the conjugate (see ``zeta_expr``).
 
-The li_expand memo can persist in one JSON file (the CLI uses
-``$LSI_CACHE_DIR/li_cache.json``), laid out as
-
-    {"format": 2, "entries": {"<index>": {"sha256": "<hex>", "expr": "<text>"}}}
-
-where ``<index>`` is the index as ``str(Index)`` prints it (``"2,3"``,
-``"phi"``), ``<text>`` is the compact JSON of ``serialize.expr_to_json`` and
-the digest is SHA-256 over ``<index>``, a newline and ``<text>``.
-``use_li_cache`` only records the path.  The file is read the first time
-``li_expand`` misses its memo, and then only its outer map is parsed; an
-entry is decoded when its index is first asked for.  A decoded entry must
-match its digest and its index's weight, and have phase bit 0
-(``serialize.expr_from_json`` checks that its terms agree on one bit).  A file
-that cannot be parsed or has another format, and every entry that fails a check,
-cost one stderr line and are recomputed, so results never change.
-``save_li_cache`` rewrites the file, atomically, only when the memo holds
-expansions the file lacks; the digest catches corruption and hand edits, not
-an edit that also rewrites the digest.
+The li_expand memo can persist in a file of JSON lines (the CLI uses
+``$LSI_CACHE_DIR/li_cache.json``): ``{"format":3}``, then one line
+``["<index>","<sha256>",<text>]`` per entry, with ``<index>`` as ``str(Index)``
+prints it (``"2,3"``, ``"phi"``), ``<text>`` the compact JSON of
+``serialize.expr_to_json`` and the digest SHA-256 over ``<index>``, a newline
+and ``<text>``; of two lines for one index the later counts.  ``li_expand``
+scans the file for each line's key and offset at its first memo miss, and reads
+and decodes a line only when its index is asked for.  A key must be an index as
+``str(Index)`` prints it; a decoded entry must match its digest and its index's
+weight, and have phase bit 0 (``serialize.expr_from_json`` checks that its
+terms agree on one bit).  A file with another header, and each line or entry
+that fails a check, cost one stderr line and are recomputed, so results never
+change.  ``save_li_cache`` appends the lines the file lacks in one write, so a
+line torn by a crash or by another writer fails its digest and the line
+appended for it then counts; only a missing or rejected file, or one holding a
+line that is no entry, is written anew.  The digest catches corruption and hand
+edits, not an edit that also rewrites the digest.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -217,69 +216,42 @@ def mgl_value(a: int, b: int) -> Fraction:
 # on-disk persistence of the expansion memo (the CLI points it at
 # $LSI_CACHE_DIR/li_cache.json)
 
-CACHE_FORMAT = 2
+_HEADER = b'{"format":3}\n'
+_KEY = re.compile(r"phi|[1-9][0-9]*(?:,[1-9][0-9]*)*")  # just the s == str(Index.parse(s))
+_LINE_KEY = re.compile(rb'\["([^"]*)",')
 _CACHE_PATH: str | None = None
-# The outer map of the file at _CACHE_PATH once li_expand has needed it:
-# index string -> {"sha256": ..., "expr": compact expr_to_json text}.  An
-# entry stays text until li_expand asks for its index.
-_DISK: dict[str, dict] | None = None
+# The file at _CACHE_PATH once li_expand has needed it: index -> (offset,
+# length) of its last line; and whether the next save writes it anew (it was
+# missing or rejected, or held a line that is no entry) or appends.
+_DISK: dict[str, tuple[int, int]] | None = None
+_REWRITE = True
 
 
 def use_li_cache(path: str | None) -> None:
-    """Make ``path`` the cache file ``li_expand`` reads on a memo miss.
-
-    Nothing is read here: the file is opened on the first miss, so work that
-    needs no expansion never reads it.  ``None`` detaches the file.
-    """
+    """Make ``path`` the cache file ``li_expand`` reads on its first memo
+    miss (work that needs no expansion never reads it); ``None`` detaches it."""
     global _CACHE_PATH, _DISK
     if path != _CACHE_PATH:
         _CACHE_PATH, _DISK = path, None
 
 
-def _entry_digest(key: str, text: str) -> str:
+def _entry_line(key: str, text: str) -> bytes:
     import hashlib  # loads libcrypto, about 4 MB of RSS: only cache users pay it
 
-    return hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
+    digest = hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
+    return f'["{key}","{digest}",{text}]\n'.encode()
 
 
-def _reject(path: str, reason, key: str | None = None) -> None:
-    what = "expansion cache" if key is None else f"entry {key!r} of expansion cache"
+def _reject(path: str, reason, where: str | None = None) -> None:
+    what = "expansion cache" if where is None else f"{where} of expansion cache"
     print(f"ignoring {what} {path}: {reason}", file=sys.stderr)
 
 
-def _read_entries(path: str) -> dict[str, dict]:
-    """The entry map of a format-2 cache file; {} for a missing or rejected file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return {}
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        _reject(path, exc)
-        return {}
-    if not (isinstance(payload, dict) and payload.get("format") == CACHE_FORMAT
-            and isinstance(payload.get("entries"), dict)):
-        _reject(path, f"not a format-{CACHE_FORMAT} cache")
-        return {}
-    entries = payload["entries"]
-    for key in list(entries):
-        try:
-            canonical = str(Index.parse(key)) == key
-        except ValueError:
-            canonical = False
-        if not canonical:
-            _reject(path, "the key is not an index", key)
-            del entries[key]
-    return entries
-
-
-def _decode_entry(key: str, entry, weight: int) -> LsiExpr:
+def _decode_entry(key: str, line: bytes, weight: int) -> LsiExpr:
     from .serialize import expr_from_json
 
-    text = entry.get("expr") if isinstance(entry, dict) else None
-    if not isinstance(text, str):
-        raise ValueError("not a {sha256, expr} pair")
-    if entry.get("sha256") != _entry_digest(key, text):
+    text = line[len(key) + 71:-2].decode()  # after '["<key>","<sha256>",'
+    if line != _entry_line(key, text):  # also a line torn or not of this key
         raise ValueError("checksum mismatch")
     e = expr_from_json(json.loads(text))
     if any(m.weight != weight for m in e.monomials()):
@@ -296,66 +268,91 @@ def _from_disk(k: Index) -> LsiExpr | None:
     if _DISK is None:
         load_li_cache(_CACHE_PATH)
     key = str(k)
-    entry = _DISK.get(key)
-    if entry is None:
+    if (where := _DISK.get(key)) is None:
         return None
     try:
-        return _decode_entry(key, entry, k.weight)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
-        _reject(_CACHE_PATH, exc, key)
-        del _DISK[key]  # the recomputed expansion replaces it at the next save
+        with open(_CACHE_PATH, "rb") as fh:
+            fh.seek(where[0])
+            return _decode_entry(key, fh.read(where[1]), k.weight)
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
+        _reject(_CACHE_PATH, exc, f"entry {key!r}")
+        del _DISK[key]  # the recomputed expansion is appended at the next save
         return None
 
 
 def load_li_cache(path: str) -> int:
-    """Parse the outer map of the cache file at ``path`` and make it the file
-    ``li_expand`` reads; returns its entry count.
-
-    Entries are decoded and checked one at a time, when ``li_expand`` first
-    asks for their index.  A missing file counts as empty; an unreadable file,
-    or one of another format, costs one stderr line and counts as empty.
-    """
-    global _CACHE_PATH, _DISK
-    _CACHE_PATH, _DISK = path, _read_entries(path)
+    """Scan the cache file at ``path`` and make it the file ``li_expand``
+    reads; returns its entry count (a missing or rejected file has none)."""
+    global _CACHE_PATH, _DISK, _REWRITE
+    _CACHE_PATH, _DISK, _REWRITE = path, {}, True
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(_HEADER)) != _HEADER:
+                _reject(path, "not a format-3 cache")
+                return 0
+            _REWRITE, pos = False, len(_HEADER)
+            for n, line in enumerate(fh, 2):
+                m = _LINE_KEY.match(line)
+                if m and _KEY.fullmatch(key := m[1].decode("latin-1")):
+                    _DISK[key] = pos, len(line)  # a later line for the key wins
+                else:
+                    _reject(path, "key not an index", f"entry {key!r}" if m else f"line {n}")
+                    _REWRITE = True
+                pos += len(line)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        _reject(path, exc)
+        _DISK, _REWRITE = {}, True
     return len(_DISK)
 
 
 def save_li_cache(path: str) -> int:
-    """Add the memoized expansions that the cache file at ``path`` lacks;
-    returns how many were added.
-
-    The file is left alone when it lacks none.  Otherwise it is rewritten
-    through a temporary file and ``os.replace``, creating its directory if
-    needed; entries it already held are copied back as their stored text.
-    """
+    """Append the memoized expansions that the cache file at ``path`` lacks;
+    returns how many were added.  A file written anew keeps its entries."""
     from .serialize import expr_to_json
 
-    global _DISK
+    global _DISK, _REWRITE
     if not _LI_CACHE:
         return 0
     if path != _CACHE_PATH or _DISK is None:
         load_li_cache(path)
-    added = {}
+    new = {}
     for k, e in _LI_CACHE.items():
-        key = str(k)
-        if key not in _DISK:
-            text = json.dumps(expr_to_json(e), separators=(",", ":"))
-            added[key] = {"sha256": _entry_digest(key, text), "expr": text}
-    if not added:
+        if (key := str(k)) not in _DISK:
+            new[key] = _entry_line(key, json.dumps(expr_to_json(e), separators=(",", ":")))
+    if not new:
         return 0
-    entries = {**_DISK, **added}
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"format": CACHE_FORMAT, "entries": entries}))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    _DISK = entries
-    return len(added)
+    added, lines = len(new), b"".join(new.values())
+    if not _REWRITE:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        try:  # a torn last line is ended first, so that it cannot swallow the next
+            torn = os.pread(fd, 1, os.fstat(fd).st_size - 1) != b"\n"
+            if os.write(fd, b"\n" * torn + lines) != torn + len(lines):
+                raise OSError(f"short write to {path}")
+            pos = os.lseek(fd, 0, os.SEEK_CUR) - len(lines)
+        finally:
+            os.close(fd)
+    else:
+        if _DISK:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            new = {**{key: data[o:o + n] for key, (o, n) in _DISK.items()
+                      if data[o + n - 1:o + n] == b"\n"}, **new}  # not a torn last line
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_HEADER + b"".join(new.values()))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        _DISK, _REWRITE, pos = {}, False, len(_HEADER)
+    for key, line in new.items():
+        _DISK[key] = pos, len(line)
+        pos += len(line)
+    return added
 
 
 def clear_caches() -> None:

@@ -9,6 +9,7 @@ from lsizeta.cli import main
 from lsizeta.indices import Index
 from lsizeta.relations import re_matrix
 from lsizeta.serialize import expr_from_json, expr_to_json
+from test_polylog import HEADER, cache_lines, entry_line
 
 
 def run(capsys, *argv):
@@ -165,20 +166,20 @@ class TestCacheEnv:
         assert code == 0
         assert expr_from_json(json.loads(out)) == polylog._li_expand_uncached(Index((2, 3)))
         assert err.splitlines() == [
-            f"ignoring expansion cache {path}: not a format-2 cache"]
+            f"ignoring expansion cache {path}: not a format-3 cache"]
 
     def test_poisoned_entry_is_rejected(self, capsys, tmp_path, monkeypatch):
         path = _cache(tmp_path, monkeypatch)
         code, out, _ = run(capsys, "zeta", "2")
         assert code == 0 and out == "(1/6)*pi^2"
-        data = json.loads(path.read_text())
-        entry = data["entries"]["2"]
-        expr = json.loads(entry["expr"])
+        lines = cache_lines(path)
+        i, (_, digest, expr) = next((i, json.loads(line)) for i, line in enumerate(lines)
+                                    if json.loads(line)[0] == "2")
         for term in expr["terms"]:
             if term["pi"] == 2:
                 term["re"] = "1/7"
-        entry["expr"] = json.dumps(expr, separators=(",", ":"))
-        path.write_text(json.dumps(data))
+        lines[i] = f'["2","{digest}",{json.dumps(expr, separators=(",", ":"))}]\n'
+        path.write_text(HEADER + "".join(lines))
         polylog.clear_caches()
         code, out, err = run(capsys, "zeta", "2")
         assert code == 0 and out == "(1/6)*pi^2"
@@ -191,14 +192,14 @@ class TestCacheEnv:
         path = _cache(tmp_path, monkeypatch)
         code, out, _ = run(capsys, "zeta", "2")
         assert code == 0 and out == "(1/6)*pi^2"
-        data = json.loads(path.read_text())
-        expr = json.loads(data["entries"]["2"]["expr"])
+        lines = cache_lines(path)
+        i, (_, _, expr) = next((i, json.loads(line)) for i, line in enumerate(lines)
+                               if json.loads(line)[0] == "2")
         for term in expr["terms"]:
             if term["pi"] == 2:
                 term["re"], term["im"] = term["im"], term["re"]
-        text = json.dumps(expr, separators=(",", ":"))
-        data["entries"]["2"] = {"sha256": polylog._entry_digest("2", text), "expr": text}
-        path.write_text(json.dumps(data))
+        lines[i] = entry_line("2", json.dumps(expr, separators=(",", ":")))
+        path.write_text(HEADER + "".join(lines))
         polylog.clear_caches()
         code, out, err = run(capsys, "zeta", "2")
         assert code == 0 and out == "(1/6)*pi^2"
@@ -213,11 +214,11 @@ class TestCacheEnv:
         code, out, err = run(capsys, "zeta", "2")
         assert code == 0 and out == "(1/6)*pi^2"
         assert err.splitlines() == [
-            f"ignoring expansion cache {path}: not a format-2 cache"]
-        data = json.loads(path.read_text())
-        assert data["format"] == 2 and "2" in data["entries"]
+            f"ignoring expansion cache {path}: not a format-3 cache"]
+        keys = [json.loads(line)[0] for line in cache_lines(path)]
+        assert "2" in keys
         polylog.clear_caches()
-        assert polylog.load_li_cache(str(path)) == len(data["entries"])
+        assert polylog.load_li_cache(str(path)) == len(keys)
         assert polylog.li_expand(Index((2,))) == two
 
     def test_cache_dir_that_is_a_file(self, capsys, tmp_path, monkeypatch):
