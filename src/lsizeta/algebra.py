@@ -44,34 +44,42 @@ monomials of one weight and parity, the columns of the relation matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator
 
+from .indices import _Frozen
+
 Cols = tuple[tuple[int, int], ...]
 Table = tuple[int, tuple[tuple[tuple, int], ...]]  # n/d per monomial (pi_pow, ks, ls)
 
 
-@dataclass(frozen=True, slots=True)
-class LsiMonomial:
+class LsiMonomial(_Frozen):
     """pi^pi_pow * Ls_ks^ls(pi/3); depth 0 means a pure power of pi."""
 
-    pi_pow: int = 0
-    ks: tuple[int, ...] = ()
-    ls: tuple[int, ...] = ()
-    phase: int = field(init=False, repr=False, compare=False)  # q, set once below
+    __slots__ = ("pi_pow", "ks", "ls", "phase")  # phase: q, set once, not a field
+    _fields = ("pi_pow", "ks", "ls")
 
-    def __post_init__(self):
-        if self.pi_pow < 0:
+    def __init__(self, pi_pow: int = 0, ks: tuple[int, ...] = (), ls: tuple[int, ...] = ()):
+        if pi_pow < 0:
             raise ValueError("pi power must be nonnegative")
-        if len(self.ks) != len(self.ls):
+        if len(ks) != len(ls):
             raise ValueError("exponent vectors must have equal length")
-        for k, l in zip(self.ks, self.ls):
+        for k, l in zip(ks, ls):
             if k < 1 or l < 0 or k - 1 - l < 0:
                 raise ValueError(f"invalid exponent pair (k={k}, l={l})")
-        object.__setattr__(self, "phase", len(self.ks) + self.pi_pow + sum(self.ls))
+        # _store and _values spelled out: monomials are built, hashed and
+        # compared (basis lookups) by the thousand
+        put = object.__setattr__
+        put(self, "pi_pow", pi_pow)
+        put(self, "ks", ks)
+        put(self, "ls", ls)
+        put(self, "phase", len(ks) + pi_pow + sum(ls))
+        put(self, "_hash", hash((pi_pow, ks, ls)))
+
+    def _values(self) -> tuple:
+        return self.pi_pow, self.ks, self.ls
 
     @property
     def depth(self) -> int:
@@ -432,13 +440,13 @@ def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
 # ---------------------------------------------------------------------------
 # monomial bases
 
-@dataclass(frozen=True)
-class MonomialBasis:
+class MonomialBasis(_Frozen):
     """Ordered basis of canonical monomials of one weight and parity class."""
 
-    weight: int
-    parity: str  # "odd" or "even"
-    monomials: tuple[LsiMonomial, ...]
+    __slots__ = _fields = ("weight", "parity", "monomials")  # parity: "odd" or "even"
+
+    def __init__(self, weight: int, parity: str, monomials: tuple[LsiMonomial, ...]):
+        self._store(weight, parity, monomials)
 
     def position(self) -> dict[LsiMonomial, int]:
         return {m: i for i, m in enumerate(self.monomials)}

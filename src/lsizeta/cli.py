@@ -13,8 +13,9 @@ Commands mirror the library operations one-to-one:
     lsi lk 6                      table of rank bounds l_w for w = 2..W
     lsi verify 4                  numeric cross-check of the symbolic layer
 
-Index literals are comma-separated positive integers (``1,3``); monomial
-literals are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``).
+Index literals are written as indices print: comma-separated positive
+integers without blanks or signs (``1,3``), or ``phi``.  Monomial literals
+are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``).
 Output format is selected with ``--format {text,json,latex}``; results go to
 stdout.  ``--max-weight`` (default 8, at most 12) caps the weight of
 ``relations``, ``lk`` and ``verify`` only.  Weights of 8 and above are
@@ -23,12 +24,19 @@ long-running: there ``relations`` and ``lk`` report each expanded zeta row as
 Errors go to stderr as one JSON line ``{"error": ...}``: exit 2 for a usage
 error or a bad setting, exit 1 when a command rejects its input or fails.
 
+Each command imports only the modules it runs: ``dual`` and ``trunc`` need
+``lsizeta.indices`` alone, ``shuffle``, ``reduce`` and ``basis`` add
+``lsizeta.algebra``, ``li`` and ``zeta`` ``lsizeta.polylog``, and
+``relations``, ``lk`` and ``verify`` ``lsizeta.relations`` with numpy
+(``verify`` also ``lsizeta.oracle``); ``lsizeta.serialize`` and ``json`` come
+only for JSON or LaTeX output.
+
 If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
 runs in ``$LSI_CACHE_DIR/li_cache.json``, one JSON line each (layout in
-``lsizeta.polylog``).  A command reads the file only when it needs an
-expansion it has not computed, and decodes only those lines, so ``dual``,
-``trunc``, ``shuffle``, ``reduce`` and ``basis`` never open it.  After
-printing its result it appends, in one write, the expansions the file lacked.
+``lsizeta.polylog``).  Only the commands that expand (``li``, ``zeta``,
+``relations``, ``lk``, ``verify``) attach the file.  They read it only when
+they need an expansion not yet computed, and decode only those lines; after
+printing the result they append, in one write, the expansions the file lacked.
 A rejected file or line (another format, a bad key, a failed checksum as of a
 torn line, a failed weight or phase check) costs one stderr line and is
 recomputed, so stdout never changes; a missing or rejected file is written
@@ -39,38 +47,31 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from dataclasses import dataclass
 
-from . import serialize
-from .algebra import LsiExpr, LsiMonomial, build_basis, canonicalize, reduce_at, shuffle
 from .indices import Index, dual, enumerate_admissible, truncate
-from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
-from .polylog import li_expand, save_li_cache, use_li_cache, zeta_expr
+
+_EXPANDING = ("li", "zeta", "relations", "lk", "verify")  # the commands that use the cache
 
 
-@dataclass
-class CliConfig:
-    max_weight: int = 8
-    precision: float = 1e-8
-    output_format: str = "text"
+def __getattr__(name: str):
+    # PEP 562: the package's names, which this module once bound at import
+    # (``cli.zeta_expr``), still resolve, loading their module on first use
+    import lsizeta
 
-    def validate(self):
-        if not 2 <= self.max_weight <= 12:
-            raise ValueError("max weight must lie in [2, 12]")
-        if not 1e-12 <= self.precision <= 1e-4:
-            raise ValueError("precision must lie in [1e-12, 1e-4]")
-        if self.output_format not in ("text", "json", "latex"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+    if name in lsizeta.__all__:
+        return getattr(lsizeta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
     pass
 
 
-def _parse_monomial(text: str, pi_pow: int = 0) -> LsiMonomial:
+def _parse_monomial(text: str, pi_pow: int = 0):
+    from .algebra import LsiMonomial
+
     text = text.strip()
     if not text:
         return LsiMonomial(pi_pow)
@@ -96,12 +97,26 @@ def _parse_index(text: str) -> Index:
         raise CliError(str(exc)) from None
 
 
-def _emit_expr(e: LsiExpr, fmt: str) -> str:
+def _dumps(data) -> str:
+    import json  # only JSON output and error lines need it
+
+    return json.dumps(data)
+
+
+def _emit_index(k: Index, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(serialize.expr_to_json(e))
+        return _dumps(k.to_json())
     if fmt == "latex":
-        return serialize.expr_latex(e)
-    return str(e)
+        from .serialize import index_latex
+        return index_latex(k)
+    return str(k)
+
+
+def _emit_expr(e, fmt: str) -> str:
+    if fmt == "text":
+        return str(e)
+    from . import serialize
+    return _dumps(serialize.expr_to_json(e)) if fmt == "json" else serialize.expr_latex(e)
 
 
 @contextlib.contextmanager
@@ -125,100 +140,110 @@ def _progress(w: int):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_dual(args, cfg: CliConfig) -> str:
-    k = dual(_parse_index(args.index))
-    if cfg.output_format == "json":
-        return json.dumps(k.to_json())
-    if cfg.output_format == "latex":
-        return serialize.index_latex(k)
-    return str(k)
+def cmd_dual(args) -> str:
+    return _emit_index(dual(_parse_index(args.index)), args.format)
 
 
-def cmd_trunc(args, cfg: CliConfig) -> str:
-    k = truncate(_parse_index(args.index), args.m)
-    if cfg.output_format == "json":
-        return json.dumps(k.to_json())
-    if cfg.output_format == "latex":
-        return serialize.index_latex(k)
-    return str(k)
+def cmd_trunc(args) -> str:
+    return _emit_index(truncate(_parse_index(args.index), args.m), args.format)
 
 
-def cmd_shuffle(args, cfg: CliConfig) -> str:
+def cmd_shuffle(args) -> str:
+    from .algebra import shuffle
+
     a = _parse_monomial(args.first, args.pi)
     b = _parse_monomial(args.second, args.pi2)
-    return _emit_expr(shuffle(a, b), cfg.output_format)
+    return _emit_expr(shuffle(a, b), args.format)
 
 
-def cmd_reduce(args, cfg: CliConfig) -> str:
+def cmd_reduce(args) -> str:
+    from .algebra import LsiExpr, canonicalize, reduce_at
+
     m = _parse_monomial(args.monomial, args.pi)
     if args.at is not None:
         e = reduce_at(m, args.at)
     else:
         e = canonicalize(LsiExpr.of_monomial(m))
-    return _emit_expr(e, cfg.output_format)
+    return _emit_expr(e, args.format)
 
 
-def cmd_li(args, cfg: CliConfig) -> str:
-    return _emit_expr(li_expand(_parse_index(args.index)), cfg.output_format)
+def cmd_li(args) -> str:
+    from .polylog import li_expand
+
+    return _emit_expr(li_expand(_parse_index(args.index)), args.format)
 
 
-def cmd_zeta(args, cfg: CliConfig) -> str:
-    return _emit_expr(zeta_expr(_parse_index(args.index)), cfg.output_format)
+def cmd_zeta(args) -> str:
+    from .polylog import zeta_expr
+
+    return _emit_expr(zeta_expr(_parse_index(args.index)), args.format)
 
 
-def cmd_basis(args, cfg: CliConfig) -> str:
+def cmd_basis(args) -> str:
+    from .algebra import build_basis
+
     b = build_basis(args.weight, args.parity)
-    if cfg.output_format == "json":
-        return json.dumps(serialize.basis_to_json(b))
-    if cfg.output_format == "latex":
-        return "\n".join(serialize.monomial_latex(m) for m in b.monomials)
-    return "\n".join(str(m) for m in b.monomials)
+    if args.format == "text":
+        return "\n".join(str(m) for m in b.monomials)
+    from . import serialize
+    if args.format == "json":
+        return _dumps(serialize.basis_to_json(b))
+    return "\n".join(serialize.monomial_latex(m) for m in b.monomials)
 
 
-def cmd_relations(args, cfg: CliConfig) -> str:
-    w = args.weight
-    if w > cfg.max_weight:
-        raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
+def _check_cap(w: int, args) -> None:
+    if w > args.max_weight:
+        raise CliError(f"weight {w} exceeds the configured cap {args.max_weight}")
+
+
+def cmd_relations(args) -> str:
     from .relations import mzv_relations  # numpy: only the commands that row-reduce load it
+
+    w = args.weight
+    _check_cap(w, args)
     with _progress(w):
         rels = mzv_relations(w)
-    if cfg.output_format == "json":
-        return json.dumps([serialize.relation_to_json(r) for r in rels])
-    if cfg.output_format == "latex":
-        return "\n".join(serialize.relation_latex(r) for r in rels)
-    return "\n".join(str(r) for r in rels)
+    if args.format == "text":
+        return "\n".join(str(r) for r in rels)
+    from . import serialize
+    if args.format == "json":
+        return _dumps([serialize.relation_to_json(r) for r in rels])
+    return "\n".join(serialize.relation_latex(r) for r in rels)
 
 
-def cmd_lk(args, cfg: CliConfig) -> str:
+def cmd_lk(args) -> str:
+    from .relations import compute_lk
+
     wmax = args.upto
     if wmax < 2:
         raise CliError(f"weight {wmax} is below 2, the least weight with an l_w")
-    if wmax > cfg.max_weight:
-        raise CliError(f"weight {wmax} exceeds the configured cap {cfg.max_weight}")
-    from .relations import compute_lk
+    _check_cap(wmax, args)
     rows = []
     for w in range(2, wmax + 1):
         with _progress(w):
             rows.append((w, compute_lk(w)))
-    if cfg.output_format == "json":
-        return json.dumps([{"weight": w, "lk": v} for w, v in rows])
-    if cfg.output_format == "latex":
+    if args.format == "json":
+        return _dumps([{"weight": w, "lk": v} for w, v in rows])
+    if args.format == "latex":
         header = " & ".join(str(w) for w, _ in rows)
         values = " & ".join(str(v) for _, v in rows)
         return f"\\begin{{array}}{{c}} {header} \\\\ {values} \\end{{array}}"
     return "\n".join(f"{w} {v}" for w, v in rows)
 
 
-def cmd_verify(args, cfg: CliConfig) -> str:
-    w = args.weight
-    if w > cfg.max_weight:
-        raise CliError(f"weight {w} exceeds the configured cap {cfg.max_weight}")
-    ncfg = NumericConfig(abs_tolerance=cfg.precision,
-                         max_depth=max(3, (w + 1) // 2))
+def cmd_verify(args) -> str:
+    from .algebra import LsiExpr
+    from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
+    from .polylog import zeta_expr
+    from .relations import ls_relations_for
+
+    w, tol = args.weight, args.precision
+    _check_cap(w, args)
+    ncfg = NumericConfig(abs_tolerance=tol, max_depth=max(3, (w + 1) // 2))
     lines = []
     failures = 0
 
-    def record(name: str, residual: float, tol: float):
+    def record(name: str, residual: float):
         nonlocal failures
         ok = residual < tol
         failures += not ok
@@ -227,19 +252,18 @@ def cmd_verify(args, cfg: CliConfig) -> str:
     for k in enumerate_admissible(w):
         e = zeta_expr(k)
         val = eval_expr(e, ncfg)
-        record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k, ncfg)), cfg.precision)
-        record(f"zeta({k}) imaginary part", abs(val.imag), cfg.precision)
-    from .relations import ls_relations_for
+        record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k, ncfg)))
+        record(f"zeta({k}) imaginary part", abs(val.imag))
     rel = ls_relations_for(w)
     for i, row in enumerate(rel.rows):
         e = LsiExpr(dict(zip(rel.col_labels, row)))
-        record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e, ncfg)), cfg.precision)
+        record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e, ncfg)))
     for k in (1, 2, 3):
         record(f"even zeta closed form 2k={2 * k}",
-               abs(eval_mzv(Index((2 * k,)), ncfg) - euler_even_zeta(k)), cfg.precision)
+               abs(eval_mzv(Index((2 * k,)), ncfg) - euler_even_zeta(k)))
     for m in (0, 1):
         _, residual = check_ccs_identity(m, ncfg)
-        record(f"depth-one moment identity m={m}", residual, cfg.precision)
+        record(f"depth-one moment identity m={m}", residual)
     out = "\n".join(lines)
     if failures:
         raise CliError(f"{failures} verification failure(s)\n{out}")
@@ -330,21 +354,26 @@ def _cache_file() -> str | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = CliConfig(max_weight=args.max_weight, precision=args.precision,
-                        output_format=args.format)
-        cfg.validate()
+        if not 2 <= args.max_weight <= 12:
+            raise ValueError("max weight must lie in [2, 12]")
+        if not 1e-12 <= args.precision <= 1e-4:
+            raise ValueError("precision must lie in [1e-12, 1e-4]")
         cache = _cache_file()
     except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    use_li_cache(cache)
+    expands = args.command in _EXPANDING
+    if expands or not cache and "lsizeta.polylog" in sys.modules:
+        from .polylog import use_li_cache
+        use_li_cache(cache)  # None detaches a file an earlier call attached
     try:
-        out = args.func(args, cfg)
+        out = args.func(args)
     except (CliError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     print(out)
-    if cache:
+    if cache and expands:
+        from .polylog import save_li_cache
         try:
             save_li_cache(cache)
         except OSError as exc:

@@ -8,23 +8,71 @@ its last part is at least 2 (so that the nested zeta series converges).
 This module provides the dual involution on admissible indices, the stepwise
 truncation sequence ``k^(0), k^(1), ..., k^(|k|) = phi``, enumeration of all
 admissible indices of a given weight, and deduplication of a list of indices
-by the dual pairing.
+by the dual pairing.  ``_Frozen`` is the base of the package's immutable value
+classes (``Index``, ``LsiMonomial``, ``MonomialBasis``, ``NumericConfig``),
+written out so that the modules every command loads import no ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+
+# the printed form of an index: the literals ``Index.parse`` takes besides ""
+LITERAL = re.compile(r"phi|[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 
-@dataclass(frozen=True, slots=True)
-class Index:
+class _Frozen:
+    """An immutable value, as a frozen dataclass would make it: ``__init__``
+    checks its arguments and stores them in ``__slots__`` order; equality
+    (within one class), hash, ``repr`` and pickling follow ``_fields``, the
+    leading slots.  The hash, that of the tuple of fields, is computed once:
+    values are dict keys in every kernel."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:  # for __init__, once its checks pass
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values[:len(self._fields)]))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Index(_Frozen):
     """A composition of positive integers; ``Index()`` is the empty index."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
-            raise ValueError(f"index parts must be positive integers: {self.parts}")
+    def __init__(self, parts: tuple[int, ...] = ()):
+        if not all(isinstance(p, int) and p >= 1 for p in parts):
+            raise ValueError(f"index parts must be positive integers: {parts}")
+        # _store and _values spelled out: every truncation is built and looked up
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash((parts,)))
+
+    def _values(self) -> tuple:
+        return (self.parts,)
 
     @property
     def weight(self) -> int:
@@ -53,15 +101,14 @@ class Index:
 
     @classmethod
     def parse(cls, text: str) -> "Index":
-        """Parse a comma-separated index literal, e.g. ``"1,3"``; "phi" or "" is empty."""
+        """Parse an index as printed, e.g. ``"1,3"``, between optional blanks;
+        "phi" or "" is empty."""
         text = text.strip()
         if text in ("", "phi"):
             return cls()
-        try:
-            parts = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed index string: {text!r}") from None
-        return cls(parts)
+        if not LITERAL.fullmatch(text):
+            raise ValueError(f"malformed index string: {text!r}")
+        return cls(tuple(map(int, text.split(","))))
 
     def to_json(self) -> list[int]:
         return list(self.parts)

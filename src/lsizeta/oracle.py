@@ -33,13 +33,12 @@ this module, and only those that evaluate load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .algebra import LsiExpr, LsiMonomial
-from .indices import Index
+from .indices import Index, _Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,19 +46,17 @@ if TYPE_CHECKING:
 SIGMA = math.pi / 3.0
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    abs_tolerance: float = 1e-8
-    max_depth: int = 3
-    series_cutoff: int = 64
+class NumericConfig(_Frozen):
+    __slots__ = _fields = ("abs_tolerance", "max_depth", "series_cutoff")
 
-    def __post_init__(self):
-        if self.abs_tolerance <= 0:
+    def __init__(self, abs_tolerance: float = 1e-8, max_depth: int = 3, series_cutoff: int = 64):
+        if abs_tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("depth cap must be at least 1")
-        if self.series_cutoff < 16:  # the tail expansion is asymptotic: off by 5e-8 at 4
+        if series_cutoff < 16:  # the tail expansion is asymptotic: off by 5e-8 at 4
             raise ValueError("series cutoff must be at least 16")
+        self._store(abs_tolerance, max_depth, series_cutoff)
 
 
 DEFAULT_CONFIG = NumericConfig()

@@ -56,7 +56,6 @@ edits, not an edit that also rewrites the digest.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -66,7 +65,7 @@ from math import factorial, lcm
 
 from . import algebra
 from .algebra import LsiExpr, conjugate, multiply
-from .indices import Index, dual, truncations
+from .indices import LITERAL, Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
@@ -217,7 +216,6 @@ def mgl_value(a: int, b: int) -> Fraction:
 # $LSI_CACHE_DIR/li_cache.json)
 
 _HEADER = b'{"format":3}\n'
-_KEY = re.compile(r"phi|[1-9][0-9]*(?:,[1-9][0-9]*)*")  # just the s == str(Index.parse(s))
 _LINE_KEY = re.compile(rb'\["([^"]*)",')
 _CACHE_PATH: str | None = None
 # The file at _CACHE_PATH once li_expand has needed it: index -> (offset,
@@ -248,6 +246,8 @@ def _reject(path: str, reason, where: str | None = None) -> None:
 
 
 def _decode_entry(key: str, line: bytes, weight: int) -> LsiExpr:
+    import json
+
     from .serialize import expr_from_json
 
     text = line[len(key) + 71:-2].decode()  # after '["<key>","<sha256>",'
@@ -293,7 +293,7 @@ def load_li_cache(path: str) -> int:
             _REWRITE, pos = False, len(_HEADER)
             for n, line in enumerate(fh, 2):
                 m = _LINE_KEY.match(line)
-                if m and _KEY.fullmatch(key := m[1].decode("latin-1")):
+                if m and LITERAL.fullmatch(key := m[1].decode("latin-1")):
                     _DISK[key] = pos, len(line)  # a later line for the key wins
                 else:
                     _reject(path, "key not an index", f"entry {key!r}" if m else f"line {n}")
@@ -310,6 +310,8 @@ def load_li_cache(path: str) -> int:
 def save_li_cache(path: str) -> int:
     """Append the memoized expansions that the cache file at ``path`` lacks;
     returns how many were added.  A file written anew keeps its entries."""
+    import json
+
     from .serialize import expr_to_json
 
     global _DISK, _REWRITE

@@ -96,6 +96,17 @@ class TestErrors:
         assert code == 1
         assert "error" in json.loads(err.splitlines()[-1])
 
+    @pytest.mark.parametrize("literal", ["1_0,2", "+3,2", "3, 2", "3 ,2", "3,,2", "0,2",
+                                         "03,2", "\uff13,2", "3,2,", "Phi"])
+    def test_index_literal_not_as_printed(self, capsys, literal):
+        # int() would take each part of the first four; no index prints so
+        code, out, err = run(capsys, "dual", literal)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"malformed index string: {literal!r}"}
+
+    def test_index_literal_between_blanks(self, capsys):
+        assert run(capsys, "dual", " 3,2\t") == (0, "2,1,2", "")
+
     def test_non_admissible_dual(self, capsys):
         code, _, err = run(capsys, "dual", "2,1")
         assert code == 1 and "non-admissible" in err
@@ -220,6 +231,28 @@ class TestCacheEnv:
         polylog.clear_caches()
         assert polylog.load_li_cache(str(path)) == len(keys)
         assert polylog.li_expand(Index((2,))) == two
+
+    def test_only_expanding_commands_attach_the_file(self, capsys, tmp_path, monkeypatch):
+        path = _cache(tmp_path, monkeypatch)
+        for argv in (["dual", "3,2"], ["trunc", "2,3", "1"], ["shuffle", "2", "2"],
+                     ["reduce", "1,3:0,1"], ["basis", "4", "odd"]):
+            assert run(capsys, *argv)[0] == 0
+        assert not path.exists() and polylog._CACHE_PATH is None
+        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
+        assert path.exists() and polylog._CACHE_PATH == str(path)
+
+    @pytest.mark.parametrize("then", [["zeta", "2"], ["dual", "3,2"]])
+    def test_a_call_without_the_variable_detaches_the_file(self, capsys, tmp_path,
+                                                           monkeypatch, then):
+        path = _cache(tmp_path, monkeypatch)
+        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
+        path.write_bytes(b"not a cache\n")  # read, it costs a stderr line; saved, it is replaced
+        monkeypatch.delenv("LSI_CACHE_DIR")
+        code, _, err = run(capsys, *then)
+        assert code == 0 and err == ""
+        polylog.li_expand(Index((3,)))  # a memo miss, as the next expanding command would have
+        assert path.read_bytes() == b"not a cache\n" and capsys.readouterr().err == ""
+        assert polylog._CACHE_PATH is None
 
     def test_cache_dir_that_is_a_file(self, capsys, tmp_path, monkeypatch):
         not_a_dir = tmp_path / "file"

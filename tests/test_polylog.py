@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lsizeta import algebra, polylog
 from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, multiply, real_part
 from lsizeta.indices import (
+    LITERAL,
     Index,
     dedupe_by_duality,
     dual,
@@ -535,16 +536,24 @@ class TestCachePersistence:
         assert cache_lines(path) == [entry_line("2", text)]
 
 
-def parses_to_itself(s: str) -> bool:
+def parses(s: str) -> bool:
     try:
-        return str(Index.parse(s)) == s
+        Index.parse(s)
     except ValueError:
         return False
+    return True
+
+
+def parses_to_itself(s: str) -> bool:
+    return parses(s) and str(Index.parse(s)) == s
 
 
 @given(st.text(st.characters(max_codepoint=127)) | st.text("0123456789,phi +-_\t"))
 def test_key_check_accepts_exactly_the_printed_indices(s):
-    assert bool(polylog._KEY.fullmatch(s)) == parses_to_itself(s)
+    assert bool(LITERAL.fullmatch(s)) == parses_to_itself(s)
+    # a command-line literal parses exactly when, blanks stripped, it is one
+    # the key check accepts, or empty: no "1_0", "+3" or "3, 2"
+    assert parses(s) == (not s.strip() or bool(LITERAL.fullmatch(s.strip())))
 
 
 def test_key_check_accepts_every_index_up_to_weight_8():
@@ -552,9 +561,9 @@ def test_key_check_accepts_every_index_up_to_weight_8():
                       for parts in compositions(w)]
     assert len(keys) == 2 ** 8
     for key in keys:
-        assert parses_to_itself(key) and polylog._KEY.fullmatch(key), key
+        assert parses_to_itself(key) and LITERAL.fullmatch(key), key
         for near in (f"0{key}", f"{key},", f" {key}", f"{key}\n"):
-            assert not polylog._KEY.fullmatch(near) and not parses_to_itself(near), near
+            assert not LITERAL.fullmatch(near) and not parses_to_itself(near), near
 
 
 def compositions(w: int):

@@ -1,11 +1,14 @@
-"""Start-up cost: only the commands that row-reduce or evaluate load numpy,
-and only those that can report progress load logging.
+"""Start-up cost: each command loads only the modules it runs.
 
-``lsizeta.relations`` imports numpy at module level and ``lsizeta.oracle``
-inside its numeric functions; ``cli`` imports ``relations`` inside the
-commands that need it and the package exports its names on first use.
-``cli`` imports logging only around ``relations``, ``lk`` and ``verify``.
-Each check runs in a fresh interpreter, since this one has numpy loaded
+``lsizeta`` exports its names on first use and ``cli`` imports inside each
+command what that command runs, so ``dual`` and ``trunc`` load
+``lsizeta.indices`` alone, ``shuffle``, ``reduce`` and ``basis`` add
+``lsizeta.algebra``, and ``li`` and ``zeta`` ``lsizeta.polylog``; only the
+commands that row-reduce or evaluate load numpy, only those that can report
+progress load logging, and no light command loads ``dataclasses`` (the value
+classes are written out).  ``hashlib`` and ``lsizeta.serialize`` come only
+with a cache line read or written, which only the commands that expand do.
+Each check runs in a fresh interpreter, since this one has loaded everything
 already.
 """
 
@@ -58,13 +61,51 @@ def test_light_commands_do_not_load_numpy(cache, tmp_path):
     assert fresh(RUN_COMMANDS, json.dumps(LIGHT_COMMANDS), env=env) == ""
 
 
+# the package modules each light command loads, besides lsizeta and lsizeta.cli
+MODULES = {"dual": {"indices"}, "trunc": {"indices"},
+           **dict.fromkeys(["shuffle", "reduce", "basis"], {"indices", "algebra"}),
+           **dict.fromkeys(["li", "zeta"], {"indices", "algebra", "polylog"})}
+
+LOADED_BY = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from lsizeta import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("cache", ["none", "cold", "primed"])
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
+def test_each_light_command_loads_only_what_it_runs(cache, argv, tmp_path):
+    env = {} if cache == "none" else {"LSI_CACHE_DIR": str(tmp_path)}
+    if cache == "primed":
+        fresh(RUN_COMMANDS, json.dumps(LIGHT_COMMANDS), env=env)
+    before = (tmp_path / "li_cache.json").read_bytes() if cache == "primed" else None
+    loaded = set(json.loads(fresh(LOADED_BY, *argv, env=env)))
+    # only li and zeta expand; with a cache set, they read or write a line
+    touches_cache = cache != "none" and argv[0] in ("li", "zeta")
+    expected = MODULES[argv[0]] | ({"serialize"} if touches_cache else set())
+    assert {m for m in loaded if m.startswith("lsizeta")} == (
+        {"lsizeta", "lsizeta.cli"} | {f"lsizeta.{m}" for m in expected})
+    assert not {"dataclasses", "numpy", "logging"} & loaded
+    assert ("hashlib" in loaded) == touches_cache
+    if argv[0] in ("dual", "trunc"):
+        assert "fractions" not in loaded
+    if cache == "primed":  # every expansion was there: the file is left as it was
+        assert (tmp_path / "li_cache.json").read_bytes() == before
+    elif cache == "cold":
+        assert (tmp_path / "li_cache.json").exists() == touches_cache
+
+
 def test_import_does_not_load_numpy_and_submodules_still_import():
     out = fresh("import sys, lsizeta\n"
-                "print('numpy' in sys.modules)\n"
+                "print('numpy' in sys.modules, [m for m in sys.modules if 'lsizeta.' in m])\n"
                 "from lsizeta import relations, oracle\n"
                 "print(lsizeta.compute_lk is relations.compute_lk,\n"
                 "      lsizeta.eval_mzv is oracle.eval_mzv, 'numpy' in sys.modules)")
-    assert out.split() == ["False", "True", "True", "True"]
+    assert out.split() == ["False", "[]", "True", "True", "True"]
 
 
 def test_exported_names_are_their_defining_modules_objects():
@@ -75,3 +116,11 @@ def test_exported_names_are_their_defining_modules_objects():
     assert lsizeta.RationalMatrix is importlib.import_module("lsizeta.relations").RationalMatrix
     with pytest.raises(AttributeError):
         lsizeta.no_such_name
+
+
+def test_cli_resolves_the_names_it_once_imported():
+    from lsizeta import algebra, cli, polylog
+
+    assert cli.zeta_expr is polylog.zeta_expr and cli.shuffle is algebra.shuffle
+    with pytest.raises(AttributeError):
+        cli.no_such_name
