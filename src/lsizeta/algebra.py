@@ -37,9 +37,9 @@ times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
 Their output monomials are interned and not validated again; ``LsiMonomial``
-validates those from outside: CLI literals, ``serialize.expr_from_json`` and
-so the cache entries it decodes.  ``build_basis`` lists the canonical
-monomials of one weight and parity, the columns of the relation matrices.
+validates those from outside: CLI literals and ``serialize.expr_from_json``.
+``build_basis`` lists the canonical monomials of one weight and parity, the
+columns of the relation matrices.
 """
 
 from __future__ import annotations

@@ -15,32 +15,27 @@ Commands mirror the library operations one-to-one:
 
 Index literals are written as indices print: comma-separated positive
 integers without blanks or signs (``1,3``), or ``phi``.  Monomial literals
-are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``).
-Output format is selected with ``--format {text,json,latex}``; results go to
-stdout.  ``--max-weight`` (default 8, at most 12) caps the weight of
-``relations``, ``lk`` and ``verify`` only.  Weights of 8 and above are
-long-running: there ``relations`` and ``lk`` report each expanded zeta row as
+are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``); their
+integers, like those of the integer arguments, are written as they print
+(``3``, ``-3``; not ``+3``, ``03`` or ``1_3``).  Output format is selected
+with ``--format {text,json,latex}``; results go to stdout.  ``--max-weight``
+(default 8, at most 12) caps the weight of ``relations``, ``lk`` and
+``verify`` only.  Weights of 8 and above are long-running: there
+``relations`` and ``lk`` report each expanded zeta row as
 ``expanded i/n (weight w)`` on stderr, through the ``lsizeta`` logger.
 Errors go to stderr as one JSON line ``{"error": ...}``: exit 2 for a usage
-error or a bad setting, exit 1 when a command rejects its input or fails.
+error or a bad setting, exit 1 when a command rejects its input or fails,
+or when stdout is closed before the result is written.
 
 Each command imports only the modules it runs: ``dual`` and ``trunc`` need
 ``lsizeta.indices`` alone, ``shuffle``, ``reduce`` and ``basis`` add
 ``lsizeta.algebra``, ``li`` and ``zeta`` ``lsizeta.polylog``, and
 ``relations``, ``lk`` and ``verify`` ``lsizeta.relations`` with numpy
-(``verify`` also ``lsizeta.oracle``); ``lsizeta.serialize`` and ``json`` come
-only for JSON or LaTeX output.
+(``verify`` also ``lsizeta.oracle``); ``lsizeta.serialize`` comes only for
+JSON or LaTeX output, and ``json`` only for those and for an error line.
 
-If ``LSI_CACHE_DIR`` is set, the polylogarithm expansions persist between
-runs in ``$LSI_CACHE_DIR/li_cache.json``, one JSON line each (layout in
-``lsizeta.polylog``).  Only the commands that expand (``li``, ``zeta``,
-``relations``, ``lk``, ``verify``) attach the file.  They read it only when
-they need an expansion not yet computed, and decode only those lines; after
-printing the result they append, in one write, the expansions the file lacked.
-A rejected file or line (another format, a bad key, a failed checksum as of a
-torn line, a failed weight or phase check) costs one stderr line and is
-recomputed, so stdout never changes; a missing or rejected file is written
-anew.  An ``LSI_CACHE_DIR`` that is not a directory is a JSON error, exit 2.
+``LSI_CACHE_DIR`` is ignored: no command reads or writes expansions on disk,
+since computing one is cheaper than reading it back.
 """
 
 from __future__ import annotations
@@ -51,8 +46,6 @@ import os
 import sys
 
 from .indices import Index, dual, enumerate_admissible, truncate
-
-_EXPANDING = ("li", "zeta", "relations", "lk", "verify")  # the commands that use the cache
 
 
 def __getattr__(name: str):
@@ -69,6 +62,18 @@ class CliError(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    """An integer literal written as the integer prints (``3``, ``-3``); not
+    ``+3``, ``03``, ``1_3`` or ``3`` between blanks, which ``int`` also takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if str(value) != text:
+        raise argparse.ArgumentTypeError(f"malformed integer literal: {text!r}")
+    return value
+
+
 def _parse_monomial(text: str, pi_pow: int = 0):
     from .algebra import LsiMonomial
 
@@ -76,17 +81,12 @@ def _parse_monomial(text: str, pi_pow: int = 0):
     if not text:
         return LsiMonomial(pi_pow)
     parts = text.split(":")
-    if len(parts) == 1:
-        ks = tuple(int(x) for x in parts[0].split(","))
-        ls = (0,) * len(ks)
-    elif len(parts) == 2:
-        ks = tuple(int(x) for x in parts[0].split(","))
-        ls = tuple(int(x) for x in parts[1].split(","))
-    else:
+    if len(parts) > 2:
         raise CliError(f"malformed monomial literal {text!r}")
     try:
-        return LsiMonomial(pi_pow, ks, ls)
-    except ValueError as exc:
+        ks, *ls = (tuple(map(_int, p.split(","))) for p in parts)
+        return LsiMonomial(pi_pow, ks, ls[0] if ls else (0,) * len(ks))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
 
 
@@ -281,7 +281,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common.add_argument("--max-weight", type=int, default=8,
+    common.add_argument("--max-weight", type=_int, default=8,
                         help="weight cap for relations, lk and verify (2..12)")
     common.add_argument("--precision", type=float, default=1e-8,
                         help="numeric verification tolerance (1e-12..1e-4)")
@@ -299,20 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub_parser("trunc", "m-fold truncation")
     s.add_argument("index")
-    s.add_argument("m", type=int)
+    s.add_argument("m", type=_int)
     s.set_defaults(func=cmd_trunc)
 
     s = sub_parser("shuffle", "shuffle product of two monomials")
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--pi", type=int, default=0, help="pi-power of the first monomial")
-    s.add_argument("--pi2", type=int, default=0, help="pi-power of the second monomial")
+    s.add_argument("--pi", type=_int, default=0, help="pi-power of the first monomial")
+    s.add_argument("--pi2", type=_int, default=0, help="pi-power of the second monomial")
     s.set_defaults(func=cmd_shuffle)
 
     s = sub_parser("reduce", "canonicalize a monomial (or one step with --at)")
     s.add_argument("monomial")
-    s.add_argument("--pi", type=int, default=0)
-    s.add_argument("--at", type=int, default=None, help="apply one reduction at position J")
+    s.add_argument("--pi", type=_int, default=0)
+    s.add_argument("--at", type=_int, default=None, help="apply one reduction at position J")
     s.set_defaults(func=cmd_reduce)
 
     s = sub_parser("li", "polylogarithm expansion at e^{i pi/3}")
@@ -324,31 +324,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_zeta)
 
     s = sub_parser("basis", "canonical monomial basis of a weight")
-    s.add_argument("weight", type=int)
+    s.add_argument("weight", type=_int)
     s.add_argument("parity", choices=("odd", "even"))
     s.set_defaults(func=cmd_basis)
 
     s = sub_parser("relations", "independent zeta relations at a weight")
-    s.add_argument("weight", type=int)
+    s.add_argument("weight", type=_int)
     s.set_defaults(func=cmd_relations)
 
     s = sub_parser("lk", "rank bounds l_w for w = 2..W")
-    s.add_argument("upto", type=int)
+    s.add_argument("upto", type=_int)
     s.set_defaults(func=cmd_lk)
 
     s = sub_parser("verify", "numeric cross-check at a weight")
-    s.add_argument("weight", type=int)
+    s.add_argument("weight", type=_int)
     s.set_defaults(func=cmd_verify)
     return p
-
-
-def _cache_file() -> str | None:
-    cache_dir = os.environ.get("LSI_CACHE_DIR")
-    if not cache_dir:
-        return None
-    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
-        raise ValueError(f"LSI_CACHE_DIR is not a directory: {cache_dir}")
-    return os.path.join(cache_dir, "li_cache.json")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,26 +349,22 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("max weight must lie in [2, 12]")
         if not 1e-12 <= args.precision <= 1e-4:
             raise ValueError("precision must lie in [1e-12, 1e-4]")
-        cache = _cache_file()
     except ValueError as exc:
         print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    expands = args.command in _EXPANDING
-    if expands or not cache and "lsizeta.polylog" in sys.modules:
-        from .polylog import use_li_cache
-        use_li_cache(cache)  # None detaches a file an earlier call attached
     try:
         out = args.func(args)
     except (CliError, ValueError) as exc:
         print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    print(out)
-    if cache and expands:
-        from .polylog import save_li_cache
-        try:
-            save_li_cache(cache)
-        except OSError as exc:
-            print(f"could not persist cache: {exc}", file=sys.stderr)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError as exc:
+        # the reader has gone (``lsi basis 9 odd | head -2``): send what is
+        # left to devnull so that the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(_dumps({"error": f"stdout closed: {exc}"}), file=sys.stderr)
+        return 1
     return 0
 
 

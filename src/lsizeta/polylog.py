@@ -34,38 +34,19 @@ polylogarithms at the sixth root of unity into a statement about zeta values;
 all w + 1 products are summed in one integer accumulation.
 Both memoize: a weight class of zeta expressions reuses the same truncations,
 and the zeta expression of the dual index is the conjugate (see ``zeta_expr``).
-
-The li_expand memo can persist in a file of JSON lines (the CLI uses
-``$LSI_CACHE_DIR/li_cache.json``): ``{"format":3}``, then one line
-``["<index>","<sha256>",<text>]`` per entry, with ``<index>`` as ``str(Index)``
-prints it (``"2,3"``, ``"phi"``), ``<text>`` the compact JSON of
-``serialize.expr_to_json`` and the digest SHA-256 over ``<index>``, a newline
-and ``<text>``; of two lines for one index the later counts.  ``li_expand``
-scans the file for each line's key and offset at its first memo miss, and reads
-and decodes a line only when its index is asked for.  A key must be an index as
-``str(Index)`` prints it; a decoded entry must match its digest and its index's
-weight, and have phase bit 0 (``serialize.expr_from_json`` checks that its
-terms agree on one bit).  A file with another header, and each line or entry
-that fails a check, cost one stderr line and are recomputed, so results never
-change.  ``save_li_cache`` appends the lines the file lacks in one write, so a
-line torn by a crash or by another writer fails its digest and the line
-appended for it then counts; only a missing or rejected file, or one holding a
-line that is no entry, is written anew.  The digest catches corruption and hand
-edits, not an edit that also rewrites the digest.
+The memos last as long as the process: an expansion is cheaper to compute
+than to read back from a file, so none is read from disk.
 """
 
 from __future__ import annotations
 
-import os
-import re
-import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
 from . import algebra
 from .algebra import LsiExpr, conjugate, multiply
-from .indices import LITERAL, Index, dual, truncations
+from .indices import Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
 _ZETA_CACHE: dict[Index, LsiExpr] = {}
@@ -159,10 +140,7 @@ def li_expand(k: Index) -> LsiExpr:
     """Canonical log-sine expansion of Li_k at e^{i pi/3}; any index allowed."""
     e = _LI_CACHE.get(k)
     if e is None:
-        e = _from_disk(k)
-        if e is None:
-            e = _li_expand_uncached(k)
-        _LI_CACHE[k] = e
+        e = _LI_CACHE[k] = _li_expand_uncached(k)
     return e
 
 
@@ -211,157 +189,23 @@ def mgl_value(a: int, b: int) -> Fraction:
     return terms[0][1] if w % 4 in (0, 3) else -terms[0][1]
 
 
-# ---------------------------------------------------------------------------
-# on-disk persistence of the expansion memo (the CLI points it at
-# $LSI_CACHE_DIR/li_cache.json)
-
-_HEADER = b'{"format":3}\n'
-_LINE_KEY = re.compile(rb'\["([^"]*)",')
-_CACHE_PATH: str | None = None
-# The file at _CACHE_PATH once li_expand has needed it: index -> (offset,
-# length) of its last line; and whether the next save writes it anew (it was
-# missing or rejected, or held a line that is no entry) or appends.
-_DISK: dict[str, tuple[int, int]] | None = None
-_REWRITE = True
-
-
-def use_li_cache(path: str | None) -> None:
-    """Make ``path`` the cache file ``li_expand`` reads on its first memo
-    miss (work that needs no expansion never reads it); ``None`` detaches it."""
-    global _CACHE_PATH, _DISK
-    if path != _CACHE_PATH:
-        _CACHE_PATH, _DISK = path, None
-
-
-def _entry_line(key: str, text: str) -> bytes:
-    import hashlib  # loads libcrypto, about 4 MB of RSS: only cache users pay it
-
-    digest = hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
-    return f'["{key}","{digest}",{text}]\n'.encode()
-
-
-def _reject(path: str, reason, where: str | None = None) -> None:
-    what = "expansion cache" if where is None else f"{where} of expansion cache"
-    print(f"ignoring {what} {path}: {reason}", file=sys.stderr)
-
-
-def _decode_entry(key: str, line: bytes, weight: int) -> LsiExpr:
-    import json
-
-    from .serialize import expr_from_json
-
-    text = line[len(key) + 71:-2].decode()  # after '["<key>","<sha256>",'
-    if line != _entry_line(key, text):  # also a line torn or not of this key
-        raise ValueError("checksum mismatch")
-    e = expr_from_json(json.loads(text))
-    if any(m.weight != weight for m in e.monomials()):
-        raise ValueError(f"a monomial is not of weight {weight}")
-    if e.t:
-        raise ValueError("a coefficient is not i^(depth + pi power + sum l) times a rational")
-    return e
-
-
-def _from_disk(k: Index) -> LsiExpr | None:
-    """The expansion of ``k`` stored in the cache file, or None."""
-    if _CACHE_PATH is None:
-        return None
-    if _DISK is None:
-        load_li_cache(_CACHE_PATH)
-    key = str(k)
-    if (where := _DISK.get(key)) is None:
-        return None
-    try:
-        with open(_CACHE_PATH, "rb") as fh:
-            fh.seek(where[0])
-            return _decode_entry(key, fh.read(where[1]), k.weight)
-    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
-        _reject(_CACHE_PATH, exc, f"entry {key!r}")
-        del _DISK[key]  # the recomputed expansion is appended at the next save
-        return None
-
-
-def load_li_cache(path: str) -> int:
-    """Scan the cache file at ``path`` and make it the file ``li_expand``
-    reads; returns its entry count (a missing or rejected file has none)."""
-    global _CACHE_PATH, _DISK, _REWRITE
-    _CACHE_PATH, _DISK, _REWRITE = path, {}, True
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(_HEADER)) != _HEADER:
-                _reject(path, "not a format-3 cache")
-                return 0
-            _REWRITE, pos = False, len(_HEADER)
-            for n, line in enumerate(fh, 2):
-                m = _LINE_KEY.match(line)
-                if m and LITERAL.fullmatch(key := m[1].decode("latin-1")):
-                    _DISK[key] = pos, len(line)  # a later line for the key wins
-                else:
-                    _reject(path, "key not an index", f"entry {key!r}" if m else f"line {n}")
-                    _REWRITE = True
-                pos += len(line)
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        _reject(path, exc)
-        _DISK, _REWRITE = {}, True
-    return len(_DISK)
-
-
 def save_li_cache(path: str) -> int:
-    """Append the memoized expansions that the cache file at ``path`` lacks;
-    returns how many were added.  A file written anew keeps its entries."""
+    """Write each memoized expansion to ``path`` as one JSON line
+    ``["<index>", expr_to_json(e)]``; returns how many.  The benchmark's prime
+    step is its only caller: nothing in ``lsizeta`` reads the file."""
     import json
 
     from .serialize import expr_to_json
 
-    global _DISK, _REWRITE
-    if not _LI_CACHE:
-        return 0
-    if path != _CACHE_PATH or _DISK is None:
-        load_li_cache(path)
-    new = {}
-    for k, e in _LI_CACHE.items():
-        if (key := str(k)) not in _DISK:
-            new[key] = _entry_line(key, json.dumps(expr_to_json(e), separators=(",", ":")))
-    if not new:
-        return 0
-    added, lines = len(new), b"".join(new.values())
-    if not _REWRITE:
-        fd = os.open(path, os.O_RDWR | os.O_APPEND)
-        try:  # a torn last line is ended first, so that it cannot swallow the next
-            torn = os.pread(fd, 1, os.fstat(fd).st_size - 1) != b"\n"
-            if os.write(fd, b"\n" * torn + lines) != torn + len(lines):
-                raise OSError(f"short write to {path}")
-            pos = os.lseek(fd, 0, os.SEEK_CUR) - len(lines)
-        finally:
-            os.close(fd)
-    else:
-        if _DISK:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            new = {**{key: data[o:o + n] for key, (o, n) in _DISK.items()
-                      if data[o + n - 1:o + n] == b"\n"}, **new}  # not a torn last line
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_HEADER + b"".join(new.values()))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        _DISK, _REWRITE, pos = {}, False, len(_HEADER)
-    for key, line in new.items():
-        _DISK[key] = pos, len(line)
-        pos += len(line)
-    return added
+    with open(path, "w") as fh:
+        for k, e in _LI_CACHE.items():
+            fh.write(json.dumps([str(k), expr_to_json(e)], separators=(",", ":")) + "\n")
+    return len(_LI_CACHE)
 
 
 def clear_caches() -> None:
-    """Empty the memos and algebra tables; forget the cache file and its entries."""
-    global _CACHE_PATH, _DISK
+    """Empty the memos and algebra tables."""
     algebra.clear_caches()
     _LI_CACHE.clear()
     _ZETA_CACHE.clear()
     _PREFIX.clear()
-    _CACHE_PATH = _DISK = None

@@ -440,7 +440,7 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     return RationalMatrix([row], [f"cr:{k}"], list(basis.monomials))
 
 
-def ls_relations_for(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
+def ls_relations_for(w: int) -> RationalMatrix:
     """All relation rows among the weight-w matching-parity monomials.
 
     The rows come from two sources, in this order:
@@ -450,9 +450,8 @@ def ls_relations_for(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
     - ``im{w-1-2m}*pi^{1+2m}``: every echelon row of the imaginary matrix of
       weight w-1-2m, for w-1-2m = w-1, w-3, ..., 3, times pi^(1+2m).
 
-    ``use_cr`` appends the closed-form rows ``cr:{k}*pi^{w-2k-1}`` of
-    ``inject_cr_relation`` for the given k values.  At odd w <= 11 all of
-    them together raise the rank by (w-3)/2 but leave l_w unchanged.
+    The closed-form rows of ``inject_cr_relation`` are not among them: lifted
+    to odd w <= 11 they raise the rank by (w-3)/2 but leave l_w unchanged.
     """
     if w < 2:
         raise ValueError("weight must be >= 2")
@@ -482,13 +481,6 @@ def ls_relations_for(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
         src = im_matrix(src_w)
         lift(src, src.rref().nonzero_rows(), w - src_w, f"im{src_w}*pi^{w - src_w}")
 
-    for k in use_cr:
-        shift = w - 2 * k - 1
-        if shift < 0 or shift % 2:
-            raise ValueError(f"cr relation of weight {2 * k + 1} unusable at weight {w}")
-        src = inject_cr_relation(k)
-        lift(src, src.nonzero_rows(), shift, f"cr:{k}*pi^{shift}")
-
     return RationalMatrix(rows, labels, list(basis.monomials))
 
 
@@ -500,20 +492,20 @@ def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMat
                           list(matrix.col_labels))
 
 
-def reduce_mzv_matrix(w: int, use_cr: tuple[int, ...] = ()) -> RationalMatrix:
+def reduce_mzv_matrix(w: int) -> RationalMatrix:
     """Real matrix of weight w after substituting all known monomial relations."""
     base = re_matrix(w)
-    rels = ls_relations_for(w, use_cr)
+    rels = ls_relations_for(w)
     if not rels.rows:
         return base
     return _eliminate(base, rels)
 
 
-def compute_lk(w: int, use_cr: tuple[int, ...] = ()) -> int:
+def compute_lk(w: int) -> int:
     """Upper bound for the dimension of the weight-w zeta span: the rank of
     ``reduce_mzv_matrix(w)``, which is zero on the relation pivots, so equals
     rank([re; rels]) - rank(rels)."""
-    rels = ls_relations_for(w, use_cr)
+    rels = ls_relations_for(w)
     return re_matrix(w).stack(rels).rank - rels.rank
 
 

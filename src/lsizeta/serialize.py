@@ -1,4 +1,4 @@
-"""JSON and LaTeX emitters for expressions, bases, matrices and relations.
+"""JSON and LaTeX emitters for expressions, bases and relations.
 
 The JSON expression format is
 
@@ -19,7 +19,7 @@ from .algebra import LsiExpr, LsiMonomial, MonomialBasis
 from .indices import Index
 
 if TYPE_CHECKING:  # relations loads numpy, which no emitter needs
-    from .relations import MzvRelation, RationalMatrix
+    from .relations import MzvRelation
 
 
 # ---------------------------------------------------------------------------
@@ -56,19 +56,6 @@ def basis_to_json(b: MonomialBasis) -> dict:
     return {"weight": b.weight, "parity": b.parity,
             "monomials": [{"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls)}
                           for m in b.monomials]}
-
-
-def matrix_to_json(m: RationalMatrix) -> dict:
-    def label(x):
-        if isinstance(x, Index):
-            return x.to_json()
-        if isinstance(x, LsiMonomial):
-            return {"pi": x.pi_pow, "k": list(x.ks), "l": list(x.ls)}
-        return x
-
-    return {"rows": [[str(v) for v in row] for row in m.rows],
-            "row_labels": [label(x) for x in m.row_labels],
-            "col_labels": [label(x) for x in m.col_labels]}
 
 
 def relation_to_json(r: MzvRelation) -> dict:

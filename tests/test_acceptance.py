@@ -60,6 +60,7 @@ from published_data import (
     W6_ROWS,
 )
 from test_kernels import qi, ref_canonicalize
+from test_relations import lk_with_cr
 
 
 def mono(ks, ls, pi=0):
@@ -313,7 +314,7 @@ def test_criterion_11_numeric_oracle():
 
 @checked(12, "closed-form relation injection leaves l_7 at 4", 2100.0)
 def test_criterion_12_cr_injection_stability():
-    assert compute_lk(7, use_cr=(2,)) == 4
+    assert lk_with_cr(7, (2,)) == (1, 4)
 
 
 @pytest.mark.skipif(os.environ.get("LSIZETA_STRETCH") == "0",

@@ -1,15 +1,17 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lsizeta import polylog
+import lsizeta
 from lsizeta.cli import main
-from lsizeta.indices import Index
 from lsizeta.relations import re_matrix
-from lsizeta.serialize import expr_from_json, expr_to_json
-from test_polylog import HEADER, cache_lines, entry_line
+from lsizeta.serialize import expr_from_json
 
 
 def run(capsys, *argv):
@@ -140,6 +142,17 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "error" in json.loads(err.splitlines()[-1])
 
+    @pytest.mark.parametrize("argv", [("reduce", "1_3:0_1"), ("shuffle", " +2", "2:1"),
+                                      ("basis", "0_4", "odd"), ("trunc", "2,3", "+1"),
+                                      ("reduce", "2,1,3:1,0,1", "--at", "01"),
+                                      ("shuffle", "2", "2", "--pi2", " 1"),
+                                      ("lk", "4", "--max-weight", "8\t"), ("verify", "\u0663")])
+    def test_integer_literal_not_as_printed(self, capsys, argv):
+        # int() would take each of these; no integer prints so
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2) and out == ""
+        assert "malformed integer literal" in json.loads(err)["error"]
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["lk", "--help"])
@@ -147,120 +160,59 @@ class TestErrors:
         assert "upto" in capsys.readouterr().out
 
 
-def _cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("LSI_CACHE_DIR", str(tmp_path))
-    return tmp_path / "li_cache.json"
+SRC = str(Path(lsizeta.__file__).resolve().parents[1])
 
 
-@pytest.mark.usefixtures("fresh_caches")
-class TestCacheEnv:
-    def test_cache_persists(self, capsys, tmp_path, monkeypatch):
-        path = _cache(tmp_path, monkeypatch)
-        code, out1, _ = run(capsys, "li", "2,3", "--format", "json")
-        assert code == 0
-        assert path.exists()
-        polylog.clear_caches()
+def lsi(*argv, env=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``lsi argv`` in a new interpreter that imports from this tree."""
+    full = {k: v for k, v in os.environ.items() if k != "LSI_CACHE_DIR"}
+    full.update({"PYTHONPATH": SRC, **(env or {})})
+    return subprocess.run([sys.executable, "-m", "lsizeta.cli", *argv], env=full,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
-        def recompute(k):
-            raise AssertionError(f"expanded {k} instead of reading it from disk")
 
-        monkeypatch.setattr(polylog, "_li_expand_uncached", recompute)
-        code, out2, err = run(capsys, "li", "2,3", "--format", "json")
-        assert code == 0 and out1 == out2 and err == ""
+def snapshot(path: Path):
+    """What is at ``path``: nothing, a file's bytes or a directory's files."""
+    if path.is_dir():
+        return {p.name: snapshot(p) for p in path.iterdir()}
+    return path.read_bytes() if path.exists() else None
 
-    def test_malformed_cache_is_rejected(self, capsys, tmp_path, monkeypatch):
-        path = _cache(tmp_path, monkeypatch)
-        path.write_text('{"2,3": {"terms": 5}}')
-        code, out, err = run(capsys, "dual", "3,2")
-        assert (code, out, err) == (0, "2,1,2", "")  # needs no expansion: file unread
-        code, out, err = run(capsys, "li", "2,3", "--format", "json")
-        assert code == 0
-        assert expr_from_json(json.loads(out)) == polylog._li_expand_uncached(Index((2, 3)))
-        assert err.splitlines() == [
-            f"ignoring expansion cache {path}: not a format-3 cache"]
 
-    def test_poisoned_entry_is_rejected(self, capsys, tmp_path, monkeypatch):
-        path = _cache(tmp_path, monkeypatch)
-        code, out, _ = run(capsys, "zeta", "2")
-        assert code == 0 and out == "(1/6)*pi^2"
-        lines = cache_lines(path)
-        i, (_, digest, expr) = next((i, json.loads(line)) for i, line in enumerate(lines)
-                                    if json.loads(line)[0] == "2")
-        for term in expr["terms"]:
-            if term["pi"] == 2:
-                term["re"] = "1/7"
-        lines[i] = f'["2","{digest}",{json.dumps(expr, separators=(",", ":"))}]\n'
-        path.write_text(HEADER + "".join(lines))
-        polylog.clear_caches()
-        code, out, err = run(capsys, "zeta", "2")
-        assert code == 0 and out == "(1/6)*pi^2"
-        assert err.splitlines() == [
-            f"ignoring entry '2' of expansion cache {path}: checksum mismatch"]
+# an entry of an earlier version's cache file that would make Li_2 vanish
+STALE = b'{"format":3}\n["2","0",{"terms":[]}]\n'
 
-    def test_entry_off_phase_is_rejected(self, capsys, tmp_path, monkeypatch):
-        # a hand edit that makes the real pi^2 term of Li_2 imaginary, with the
-        # digest recomputed so that only the phase rule can catch it
-        path = _cache(tmp_path, monkeypatch)
-        code, out, _ = run(capsys, "zeta", "2")
-        assert code == 0 and out == "(1/6)*pi^2"
-        lines = cache_lines(path)
-        i, (_, _, expr) = next((i, json.loads(line)) for i, line in enumerate(lines)
-                               if json.loads(line)[0] == "2")
-        for term in expr["terms"]:
-            if term["pi"] == 2:
-                term["re"], term["im"] = term["im"], term["re"]
-        lines[i] = entry_line("2", json.dumps(expr, separators=(",", ":")))
-        path.write_text(HEADER + "".join(lines))
-        polylog.clear_caches()
-        code, out, err = run(capsys, "zeta", "2")
-        assert code == 0 and out == "(1/6)*pi^2"
-        assert err.splitlines() == [
-            f"ignoring entry '2' of expansion cache {path}: a coefficient is not "
-            "i^(depth + pi power + sum l) times a rational"]
 
-    def test_unversioned_cache_is_rewritten(self, capsys, tmp_path, monkeypatch):
-        path = _cache(tmp_path, monkeypatch)
-        two = polylog._li_expand_uncached(Index((2,)))
-        path.write_text(json.dumps({"2": expr_to_json(two)}))
-        code, out, err = run(capsys, "zeta", "2")
-        assert code == 0 and out == "(1/6)*pi^2"
-        assert err.splitlines() == [
-            f"ignoring expansion cache {path}: not a format-3 cache"]
-        keys = [json.loads(line)[0] for line in cache_lines(path)]
-        assert "2" in keys
-        polylog.clear_caches()
-        assert polylog.load_li_cache(str(path)) == len(keys)
-        assert polylog.li_expand(Index((2,))) == two
+@pytest.mark.parametrize("setting", ["empty dir", "stale cache", "file", "missing"])
+def test_cache_dir_changes_nothing(tmp_path, setting):
+    path = tmp_path / "cache"
+    if setting in ("empty dir", "stale cache"):
+        path.mkdir()
+        if setting == "stale cache":
+            (path / "li_cache.json").write_bytes(STALE)
+    elif setting == "file":
+        path.write_bytes(b"")
+    before = snapshot(path)
+    for argv in (["li", "1,3"], ["zeta", "2"], ["zeta", "2,3"], ["lk", "4"]):
+        plain = lsi(*argv)
+        cached = lsi(*argv, env={"LSI_CACHE_DIR": str(path)})
+        assert plain.returncode == 0 and plain.stdout and plain.stderr == b""
+        assert (cached.returncode, cached.stdout, cached.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr), argv
+    assert snapshot(path) == before
 
-    def test_only_expanding_commands_attach_the_file(self, capsys, tmp_path, monkeypatch):
-        path = _cache(tmp_path, monkeypatch)
-        for argv in (["dual", "3,2"], ["trunc", "2,3", "1"], ["shuffle", "2", "2"],
-                     ["reduce", "1,3:0,1"], ["basis", "4", "odd"]):
-            assert run(capsys, *argv)[0] == 0
-        assert not path.exists() and polylog._CACHE_PATH is None
-        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
-        assert path.exists() and polylog._CACHE_PATH == str(path)
 
-    @pytest.mark.parametrize("then", [["zeta", "2"], ["dual", "3,2"]])
-    def test_a_call_without_the_variable_detaches_the_file(self, capsys, tmp_path,
-                                                           monkeypatch, then):
-        path = _cache(tmp_path, monkeypatch)
-        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
-        path.write_bytes(b"not a cache\n")  # read, it costs a stderr line; saved, it is replaced
-        monkeypatch.delenv("LSI_CACHE_DIR")
-        code, _, err = run(capsys, *then)
-        assert code == 0 and err == ""
-        polylog.li_expand(Index((3,)))  # a memo miss, as the next expanding command would have
-        assert path.read_bytes() == b"not a cache\n" and capsys.readouterr().err == ""
-        assert polylog._CACHE_PATH is None
-
-    def test_cache_dir_that_is_a_file(self, capsys, tmp_path, monkeypatch):
-        not_a_dir = tmp_path / "file"
-        not_a_dir.write_text("")
-        monkeypatch.setenv("LSI_CACHE_DIR", str(not_a_dir))
-        code, out, err = run(capsys, "dual", "3,2")
-        assert code == 2 and out == ""
-        assert "not a directory" in json.loads(err.splitlines()[-1])["error"]
+def test_closed_stdout_is_a_json_error():
+    # the reader of the pipe has gone before the result is written, as in
+    # ``lsi basis 9 odd | head -2`` once head exits
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = lsi("basis", "9", "odd", stdout=w)
+    finally:
+        os.close(w)
+    err = done.stderr.decode()
+    assert done.returncode == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
 class TestProgress:

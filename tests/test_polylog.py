@@ -1,12 +1,7 @@
-import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,61 +21,12 @@ from lsizeta.indices import (
 from lsizeta.polylog import (
     clear_caches,
     li_expand,
-    load_li_cache,
     mgl_value,
     save_li_cache,
-    use_li_cache,
     zeta_expr,
 )
-from lsizeta.serialize import expr_to_json
+from lsizeta.serialize import expr_from_json
 from test_kernels import i_pow, qi
-
-
-HEADER = '{"format":3}\n'
-
-
-def expr_text(e: LsiExpr) -> str:
-    return json.dumps(expr_to_json(e), separators=(",", ":"))
-
-
-def entry_line(key: str, text: str) -> str:
-    """A format-3 entry line: the index, SHA-256 over the index, a newline and
-    the expression text, then that text."""
-    digest = hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
-    return f'["{key}","{digest}",{text}]\n'
-
-
-def cache_lines(path) -> list[str]:
-    """The lines after the header of a format-3 cache file, each with its newline."""
-    header, *lines = path.read_text().splitlines(keepends=True)
-    assert header == HEADER
-    return lines
-
-
-def record_expansions(monkeypatch) -> list[Index]:
-    """The indices li_expand expands from here on, rather than reading from disk."""
-    computed, uncached = [], polylog._li_expand_uncached
-
-    def record(k):
-        computed.append(k)
-        return uncached(k)
-
-    monkeypatch.setattr(polylog, "_li_expand_uncached", record)
-    return computed
-
-
-# Expands one index with the cache file argv[1], then saves when a line arrives
-# on stdin, printing how many entries it added.
-EXPAND_THEN_SAVE = """
-import sys
-from lsizeta import polylog
-from lsizeta.indices import Index
-polylog.use_li_cache(sys.argv[1])
-polylog.li_expand(Index.parse(sys.argv[2]))
-print("expanded", flush=True)
-sys.stdin.readline()
-print(polylog.save_li_cache(sys.argv[1]))
-"""
 
 
 def mono(ks, ls, pi=0):
@@ -304,236 +250,17 @@ class TestPolylogExpansion:
             assert e.terms()
             assert all(m.weight == k.weight for m in e.monomials()), k
 
-    def test_rejects_weight_mismatch(self):
-        # an expansion is accepted for an index only at the index's weight
-        text = expr_text(li_expand(Index((3,))))
-        good = entry_line("3", text).encode()
-        assert polylog._decode_entry("3", good, 3) == li_expand(Index((3,)))
-        with pytest.raises(ValueError, match="not of weight 2"):
-            polylog._decode_entry("2", entry_line("2", text).encode(), 2)
-
 
 @pytest.mark.usefixtures("fresh_caches")
-class TestCachePersistence:
-    def test_roundtrip(self, tmp_path):
-        li_expand(Index((1, 2)))
-        path = tmp_path / "cache.json"
-        n = save_li_cache(str(path))
-        assert n >= 1
-        before = li_expand(Index((1, 2)))
-        m = load_li_cache(str(path))
-        assert m == n
-        assert li_expand(Index((1, 2))) == before
-
-    def test_reads_only_the_entries_asked_for(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cache.json")
-        for k in enumerate_admissible(5):
-            zeta_expr(k)
-        expected = li_expand(Index((2, 3)))
-        n = save_li_cache(path)
-        clear_caches()
-        monkeypatch.setattr(polylog, "_li_expand_uncached", None)  # any miss must read the file
-        use_li_cache(path)
-        assert li_expand(Index((2, 3))) == expected
-        assert list(polylog._LI_CACHE) == [Index((2, 3))]
-        assert len(polylog._DISK) == n
-
-    def test_disk_entry_inside_a_family(self, tmp_path, monkeypatch):
-        # (2,2) comes from disk between (2,3) and (2,1), which expand around it
-        path = str(tmp_path / "cache.json")
-        li_expand(Index((2, 2)))
-        save_li_cache(path)
-        clear_caches()
-        expected = zeta_expr(Index((2, 3)))
-        truncations = set(polylog._LI_CACHE)
-        clear_caches()
-        computed = record_expansions(monkeypatch)
-        use_li_cache(path)
-        assert zeta_expr(Index((2, 3))) == expected
-        assert Index((2, 2)) not in computed
-        assert sorted(computed, key=str) == sorted(truncations - {Index((2, 2))}, key=str)
-
-    def test_save_only_adds(self, tmp_path):
-        path = tmp_path / "cache.json"
-        li_expand(Index((2,)))
-        assert save_li_cache(str(path)) == 1
-        before = path.read_bytes()
-        assert save_li_cache(str(path)) == 0
-        assert path.read_bytes() == before
-        li_expand(Index((3,)))
-        assert save_li_cache(str(path)) == 1
-        assert cache_lines(path) == [entry_line(k, expr_text(li_expand(Index((int(k),)))))
-                                     for k in ("2", "3")]
-        assert path.read_bytes().startswith(before)
-
-    def test_save_creates_the_directory(self, tmp_path):
-        path = tmp_path / "new" / "cache.json"
-        li_expand(Index((2,)))
-        assert save_li_cache(str(path)) >= 1 and path.exists()
-        assert [p.name for p in path.parent.iterdir()] == ["cache.json"]
-
-    @pytest.mark.parametrize("text", ['{"2": {"terms": 5}}', "[" * 100000, "{", "\xff"])
-    def test_unusable_file_counts_as_empty(self, tmp_path, capsys, text):
-        path = tmp_path / "cache.json"
-        path.write_bytes(text.encode("latin-1"))
-        assert load_li_cache(str(path)) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"ignoring expansion cache {path}: ")
-
-    @pytest.mark.parametrize("damage", ["not a pair", "wrong weight", "bad key", "off phase",
-                                        "times i"])
-    def test_entry_failing_a_check_is_recomputed(self, tmp_path, capsys, damage):
-        path = tmp_path / "cache.json"
-        expected = li_expand(Index((2,)))
-        save_li_cache(str(path))
-        good = expr_text(expected)
-        assert cache_lines(path) == [entry_line("2", good)]
-        if damage == "not a pair":
-            line = '["2",{"terms":5}]\n'
-        elif damage == "wrong weight":
-            # a consistent digest over the expansion of another index
-            line = entry_line("2", expr_text(li_expand(Index((3,)))))
-        elif damage == "off phase":
-            # i Ls_2 + (1/36) pi^2 with the real pi^2 term made imaginary
-            text = good.replace('"re":"1/36","im":"0"', '"re":"0","im":"1/36"')
-            assert text != good
-            line = entry_line("2", text)
-        elif damage == "times i":
-            # -Ls_2 + (i/36) pi^2: every term agrees on phase bit 1, not the 0 of an expansion
-            text = (good.replace('"re":"0","im":"1"', '"re":"-1","im":"0"')
-                    .replace('"re":"1/36","im":"0"', '"re":"0","im":"1/36"'))
-            line = entry_line("2", text)
-        else:
-            line = entry_line("02", good)
-        path.write_text(HEADER + line)
-        clear_caches()
-        load_li_cache(str(path))
-        assert li_expand(Index((2,))) == expected
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ignoring entry")
-        assert save_li_cache(str(path)) == 1
-        # the index's last line is the recomputed entry, and the file loads cleanly
-        lines = cache_lines(path)
-        assert {json.loads(x)[0] for x in lines} == {"2"} and lines[-1] == entry_line("2", good)
-        clear_caches()
-        assert load_li_cache(str(path)) == 1 and li_expand(Index((2,))) == expected
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("cut", ["mid-entry", "in the key"])
-    def test_torn_last_line_is_recomputed_alone(self, tmp_path, capsys, monkeypatch, cut):
-        # a crash during an append leaves the last line cut short
-        path = tmp_path / "cache.json"
-        zeta_expr(Index((2, 3)))
-        expected = dict(polylog._LI_CACHE)
-        save_li_cache(str(path))
-        last = cache_lines(path)[-1]
-        torn = Index.parse(json.loads(last)[0])
-        keep = len(last) // 2 if cut == "mid-entry" else 4
-        path.write_bytes(path.read_bytes()[:-len(last) + keep])
-        clear_caches()
-        computed = record_expansions(monkeypatch)
-        use_li_cache(str(path))
-        assert {k: li_expand(k) for k in expected} == expected
-        assert computed == [torn]
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ignoring ")
-        assert save_li_cache(str(path)) == 1
-        clear_caches()
-        computed.clear()
-        use_li_cache(str(path))
-        assert {k: li_expand(k) for k in expected} == expected
-        assert computed == [] and capsys.readouterr().err == ""
-
-    def test_rewrite_keeps_entries_and_drops_a_torn_last_line(self, tmp_path, capsys,
-                                                               monkeypatch):
-        # a line that is no entry makes the next save write the file anew; the
-        # torn last line of an index never asked for must not swallow a new line
-        path = tmp_path / "cache.json"
-        two, three = (expr_text(li_expand(Index((k,)))) for k in (2, 3))
-        torn = entry_line("4", expr_text(li_expand(Index((4,)))))[:100]
-        path.write_text(HEADER + entry_line("2", two) + '["2,x","0",{}]\n' + torn)
-        clear_caches()
-        assert load_li_cache(str(path)) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"ignoring entry '2,x' of expansion cache {path}: key not an index"]
-        li_expand(Index((3,)))
-        assert save_li_cache(str(path)) == 1
-        assert cache_lines(path) == [entry_line("2", two), entry_line("3", three)]
-        clear_caches()
-        computed = record_expansions(monkeypatch)
-        assert load_li_cache(str(path)) == 2
-        assert expr_text(li_expand(Index((3,)))) == three and computed == []
-        assert capsys.readouterr().err == ""
-
-    def test_repeated_key_with_a_corrupt_last_line_is_recomputed(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        # the earlier line holds another expansion of weight 2 under a valid
-        # digest: only the last line of a key counts, and it fails its digest
-        path = tmp_path / "cache.json"
-        expected = li_expand(Index((2,)))
-        wrong = li_expand(Index((1, 1)))
-        assert wrong != expected
-        corrupt = entry_line("2", expr_text(expected)).replace('"1/36"', '"1/37"')
-        path.write_text(HEADER + entry_line("2", expr_text(wrong)) + corrupt)
-        clear_caches()
-        computed = record_expansions(monkeypatch)
-        assert load_li_cache(str(path)) == 1
-        assert li_expand(Index((2,))) == expected and computed == [Index((2,))]
-        assert capsys.readouterr().err.splitlines() == [
-            f"ignoring entry '2' of expansion cache {path}: checksum mismatch"]
-
-    def test_save_appends_after_every_byte_of_a_valid_file(self, tmp_path):
-        path = tmp_path / "cache.json"
-        for k in enumerate_admissible(5):
-            zeta_expr(k)
-        n = save_li_cache(str(path))
-        before = path.read_bytes()
-        clear_caches()
-        use_li_cache(str(path))
-        zeta_expr(Index((2, 4)))  # reads some truncations, expands others
-        added = save_li_cache(str(path))
-        after = path.read_bytes()
-        assert added > 0 and after.startswith(before)
-        assert len(cache_lines(path)) == n + added
-
-    def test_two_processes_each_add_an_entry(self, tmp_path):
-        # both read the file before either saves; the first saves last
-        path = tmp_path / "cache.json"
-        li_expand(Index((2,)))
-        save_li_cache(str(path))
-        env = {**os.environ, "PYTHONPATH": str(Path(polylog.__file__).resolve().parents[1])}
-        argv = [sys.executable, "-c", EXPAND_THEN_SAVE, str(path)]
-        first = subprocess.Popen([*argv, "3"], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                 text=True, env=env)
-        try:
-            assert first.stdout.readline() == "expanded\n"
-            second = subprocess.run([*argv, "4"], input="\n", capture_output=True, text=True,
-                                    env=env, timeout=120)
-            assert second.stdout.split() == ["expanded", "1"], second.stderr
-            out, _ = first.communicate("\n", timeout=120)
-        finally:
-            first.kill()
-        assert first.returncode == 0 and out.split() == ["1"]
-        assert [json.loads(line)[0] for line in cache_lines(path)] == ["2", "4", "3"]
-        clear_caches()
-        assert load_li_cache(str(path)) == 3
-        for k in ("2", "3", "4"):
-            assert li_expand(Index.parse(k)) == polylog._li_expand_uncached(Index.parse(k))
-
-    def test_format_2_file_is_rewritten_as_format_3(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
-        expected = li_expand(Index((2,)))
-        text = expr_text(expected)
-        digest = hashlib.sha256(f"2\n{text}".encode()).hexdigest()
-        path.write_text(json.dumps({"format": 2, "entries": {"2": {"sha256": digest,
-                                                                   "expr": text}}}))
-        clear_caches()
-        assert load_li_cache(str(path)) == 0
-        assert li_expand(Index((2,))) == expected
-        assert capsys.readouterr().err.splitlines() == [
-            f"ignoring expansion cache {path}: not a format-3 cache"]
-        assert save_li_cache(str(path)) == 1
-        assert cache_lines(path) == [entry_line("2", text)]
+def test_save_li_cache_writes_the_memo_one_line_an_entry(tmp_path):
+    zeta_expr(Index((2, 3)))
+    path = tmp_path / "li_cache.json"
+    assert save_li_cache(str(path)) == len(polylog._LI_CACHE) > 1
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(polylog._LI_CACHE)
+    for line in lines:
+        key, data = json.loads(line)
+        assert expr_from_json(data) == polylog._LI_CACHE[Index.parse(key)], key
 
 
 def parses(s: str) -> bool:
@@ -552,7 +279,7 @@ def parses_to_itself(s: str) -> bool:
 def test_key_check_accepts_exactly_the_printed_indices(s):
     assert bool(LITERAL.fullmatch(s)) == parses_to_itself(s)
     # a command-line literal parses exactly when, blanks stripped, it is one
-    # the key check accepts, or empty: no "1_0", "+3" or "3, 2"
+    # LITERAL accepts, or empty: no "1_0", "+3" or "3, 2"
     assert parses(s) == (not s.strip() or bool(LITERAL.fullmatch(s.strip())))
 
 

@@ -258,9 +258,6 @@ class TestReduceAndRank:
     @pytest.mark.parametrize("w", range(2, 10))
     def test_lk_from_ranks_matches_substitution(self, w):
         assert compute_lk(w) == reduce_mzv_matrix(w).rank
-        if w % 2:
-            cr = tuple(range(1, (w - 1) // 2 + 1))
-            assert compute_lk(w, use_cr=cr) == reduce_mzv_matrix(w, use_cr=cr).rank
 
     def test_reduce_real_expr_dual_of_weight4(self):
         # zeta(1,1,2) is not a representative; reduce its expression directly
@@ -316,6 +313,31 @@ class TestMzvRelations:
         assert a == b
 
 
+def cr_rows(w: int, ks) -> RationalMatrix:
+    """The rows of ``inject_cr_relation(k)`` for each k in ``ks``, times
+    pi^(w-2k-1), over the columns of ``ls_relations_for(w)`` at odd w."""
+    basis = build_basis(w, "odd")
+    pos = basis.position()
+    rows = []
+    for k in ks:
+        src = inject_cr_relation(k)
+        for row in src.nonzero_rows():
+            out = [Fraction(0)] * len(basis)
+            for m, v in zip(src.col_labels, row):
+                if v:
+                    out[pos[m.shifted(w - 2 * k - 1)]] = v
+            rows.append(out)
+    return RationalMatrix(rows, [None] * len(rows), list(basis.monomials))
+
+
+def lk_with_cr(w: int, ks) -> tuple[int, int]:
+    """The rank the closed-form rows of ``ks`` add to the relations of weight
+    w, and l_w computed with them."""
+    rels = ls_relations_for(w)
+    with_cr = rels.stack(cr_rows(w, ks))
+    return with_cr.rank - rels.rank, re_matrix(w).stack(with_cr).rank - with_cr.rank
+
+
 class TestCrInjection:
     def test_weight3_relation_is_trivial(self):
         # at weight 3 the closed form is already implied; the row vanishes
@@ -331,6 +353,6 @@ class TestCrInjection:
     @pytest.mark.parametrize("w", [3, 5, 7, 9])
     def test_lk_unchanged_by_cr(self, w):
         # every closed-form row usable at w is new past w = 3, yet l_w stays
-        cr = tuple(range(1, (w - 1) // 2 + 1))
-        assert ls_relations_for(w, use_cr=cr).rank - ls_relations_for(w).rank == (w - 3) // 2
-        assert compute_lk(w, use_cr=cr) == {**LK_TABLE, **LK_STRETCH}[w]
+        added, lk = lk_with_cr(w, range(1, (w - 1) // 2 + 1))
+        assert added == (w - 3) // 2
+        assert lk == {**LK_TABLE, **LK_STRETCH}[w]

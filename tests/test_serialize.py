@@ -8,7 +8,7 @@ from lsizeta import serialize
 from lsizeta.algebra import LsiExpr, LsiMonomial, canonicalize
 from lsizeta.indices import Index, dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
-from lsizeta.relations import build_basis, mzv_relations, re_matrix
+from lsizeta.relations import build_basis, mzv_relations
 
 # SHA-256 of f"{k}\n{compact JSON}\n" over every admissible index of weight
 # 2..9 in enumeration order (zeta), and over the 384 distinct truncations of
@@ -53,13 +53,6 @@ class TestJson:
         pis = [t["pi"] for t in serialize.expr_to_json(e)["terms"]]
         assert pis == sorted(pis)
         assert ks[0] == (5,)
-
-    def test_matrix_json(self):
-        m = re_matrix(2)
-        data = serialize.matrix_to_json(m)
-        assert data["rows"] == [["1/6"]]
-        assert data["row_labels"] == [[2]]
-        assert data["col_labels"] == [{"pi": 2, "k": [], "l": []}]
 
     def test_relation_json(self):
         rels = mzv_relations(4)
