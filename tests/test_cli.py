@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import lsizeta
+from lsizeta import polylog
 from lsizeta.cli import main
+from lsizeta.indices import Index
 from lsizeta.relations import re_matrix
-from lsizeta.serialize import expr_from_json
+from lsizeta.serialize import expr_from_json, expr_to_json
 
 
 def run(capsys, *argv):
@@ -199,6 +201,75 @@ def test_cache_dir_changes_nothing(tmp_path, setting):
         assert (cached.returncode, cached.stdout, cached.stderr) == (
             plain.returncode, plain.stdout, plain.stderr), argv
     assert snapshot(path) == before
+
+
+def _bad_cache(tmp_path, monkeypatch, data: bytes) -> Path:
+    """Point ``LSI_CACHE_DIR`` at ``tmp_path`` and put ``data`` in its
+    ``li_cache.json``."""
+    monkeypatch.setenv("LSI_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "li_cache.json"
+    path.write_bytes(data)
+    return path
+
+
+def _li2_json_with(change) -> dict:
+    """Li_2(e^{iπ/3}) as JSON, with ``change`` applied to its π² term."""
+    expr = expr_to_json(polylog._li_expand_uncached(Index((2,))))
+    for term in expr["terms"]:
+        if term["pi"] == 2:
+            change(term)
+    return expr
+
+
+def _json_line(*items) -> bytes:
+    return (json.dumps(list(items), separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestCacheEnv:
+    """A cache file under ``LSI_CACHE_DIR``, however wrong, is neither read nor
+    written: each command prints what it prints without one, on a quiet stderr."""
+
+    def test_malformed_cache_is_rejected(self, capsys, tmp_path, monkeypatch):
+        path = _bad_cache(tmp_path, monkeypatch, b'{"2,3": {"terms": 5}}')
+        assert run(capsys, "dual", "3,2") == (0, "2,1,2", "")
+        code, out, err = run(capsys, "li", "2,3", "--format", "json")
+        assert code == 0 and err == ""
+        assert expr_from_json(json.loads(out)) == polylog._li_expand_uncached(Index((2, 3)))
+        assert path.read_bytes() == b'{"2,3": {"terms": 5}}'
+
+    def test_poisoned_entry_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # a wrong π² coefficient, in the lines that save_li_cache writes
+        def poison(term):
+            term["re"] = "1/7"
+
+        data = _json_line("2", _li2_json_with(poison))
+        path = _bad_cache(tmp_path, monkeypatch, data)
+        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
+        assert path.read_bytes() == data
+
+    def test_entry_off_phase_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # the real π² term of Li_2 made imaginary, in an earlier version's
+        # format-3 file
+        def turn(term):
+            term["re"], term["im"] = term["im"], term["re"]
+
+        data = b'{"format":3}\n' + _json_line("2", "0" * 64, _li2_json_with(turn))
+        path = _bad_cache(tmp_path, monkeypatch, data)
+        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
+        assert path.read_bytes() == data
+
+    def test_unversioned_cache_is_rewritten(self, capsys, tmp_path, monkeypatch):
+        # an earlier version rewrote this file in its own format; now nothing
+        # is read, so nothing is rewritten either
+        def poison(term):
+            term["re"] = "1/7"
+
+        data = json.dumps({"2": _li2_json_with(poison)}).encode()
+        path = _bad_cache(tmp_path, monkeypatch, data)
+        assert run(capsys, "zeta", "2") == (0, "(1/6)*pi^2", "")
+        assert run(capsys, "li", "2", "--format", "json")[0] == 0
+        assert path.read_bytes() == data and sorted(tmp_path.iterdir()) == [path]
 
 
 def test_closed_stdout_is_a_json_error():
