@@ -10,8 +10,8 @@ floating-point oracle verifies every symbolic layer independently.
 
 Every public name below is imported from its submodule on first use, so
 ``import lsizeta`` loads no submodule and each CLI command loads only the
-modules it runs; numpy comes with ``lsizeta.relations`` and the numeric
-functions of ``lsizeta.oracle``.
+modules it runs; numpy comes with ``lsizeta.relations`` and
+``lsizeta.oracle``.
 """
 
 import importlib
@@ -22,8 +22,8 @@ _EXPORTS = {
                     "algebra"),
     **dict.fromkeys(["Index", "dedupe_by_duality", "dual", "enumerate_admissible", "truncate"],
                     "indices"),
-    **dict.fromkeys(["NumericConfig", "bernoulli_number", "check_ccs_identity", "eval_A",
-                     "eval_expr", "eval_ls", "eval_mzv", "euler_even_zeta"], "oracle"),
+    **dict.fromkeys(["bernoulli_number", "check_ccs_identity", "eval_A", "eval_expr", "eval_ls",
+                     "eval_mzv", "euler_even_zeta"], "oracle"),
     **dict.fromkeys(["li_expand", "mgl_value", "zeta_expr"], "polylog"),
     **dict.fromkeys(["MzvRelation", "RationalMatrix", "compute_lk", "im_matrix",
                      "inject_cr_relation", "ls_relations_for", "mzv_relations", "re_matrix",

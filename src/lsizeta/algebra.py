@@ -37,7 +37,7 @@ times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
 Their output monomials are interned and not validated again; ``LsiMonomial``
-validates those from outside: CLI literals and ``serialize.expr_from_json``.
+validates those from outside, such as CLI literals.
 ``build_basis`` lists the canonical monomials of one weight and parity, the
 columns of the relation matrices.
 """
@@ -350,16 +350,31 @@ def _collect(terms, t: int) -> LsiExpr:
 _CANON_CACHE: dict[Cols, Table] = {}
 
 
+def _free_position(cols: Cols) -> int | None:
+    # the first 1-based position with no log-factor, where a reduction applies
+    return next((j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0), None)
+
+
 def _canon_cols(cols: Cols) -> Table:
     cached = _CANON_CACHE.get(cols)
     if cached is not None:
         return cached
-    j = next((j for j, (k, l) in enumerate(cols, 1) if k - 1 - l == 0), None)
+    j = _free_position(cols)
     if j is None:
         table = (1, (((0, tuple(k for k, _ in cols), tuple(l for _, l in cols)), 1),))
     else:
-        table = _table((f.numerator, f.denominator, dpi, _canon_cols(child))
-                       for f, dpi, child in _reduce_step(cols, j))
+        # a chain of reductions is as long as cols: in place of recursion, a
+        # stack holds each (cols, steps) until its children's tables are cached
+        stack = [(cols, _reduce_step(cols, j))]
+        while stack:
+            top, steps = stack.pop()
+            pending = [(c, _reduce_step(c, jc)) for _, _, c in steps
+                       if c not in _CANON_CACHE and (jc := _free_position(c)) is not None]
+            if pending:
+                stack += [(top, steps), *pending]
+                continue
+            table = _CANON_CACHE[top] = _table(
+                (f.numerator, f.denominator, dpi, _canon_cols(c)) for f, dpi, c in steps)
     _CANON_CACHE[cols] = table
     return table
 

@@ -233,13 +233,12 @@ def cmd_lk(args) -> str:
 
 def cmd_verify(args) -> str:
     from .algebra import LsiExpr
-    from .oracle import NumericConfig, check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
+    from .oracle import check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
     from .polylog import zeta_expr
     from .relations import ls_relations_for
 
     w, tol = args.weight, args.precision
     _check_cap(w, args)
-    ncfg = NumericConfig(abs_tolerance=tol, max_depth=max(3, (w + 1) // 2))
     lines = []
     failures = 0
 
@@ -251,19 +250,18 @@ def cmd_verify(args) -> str:
 
     for k in enumerate_admissible(w):
         e = zeta_expr(k)
-        val = eval_expr(e, ncfg)
-        record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k, ncfg)))
+        val = eval_expr(e)
+        record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k)))
         record(f"zeta({k}) imaginary part", abs(val.imag))
     rel = ls_relations_for(w)
     for i, row in enumerate(rel.rows):
         e = LsiExpr(dict(zip(rel.col_labels, row)))
-        record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e, ncfg)))
+        record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e)))
     for k in (1, 2, 3):
         record(f"even zeta closed form 2k={2 * k}",
-               abs(eval_mzv(Index((2 * k,)), ncfg) - euler_even_zeta(k)))
+               abs(eval_mzv(Index((2 * k,))) - euler_even_zeta(k)))
     for m in (0, 1):
-        _, residual = check_ccs_identity(m, ncfg)
-        record(f"depth-one moment identity m={m}", residual)
+        record(f"depth-one moment identity m={m}", check_ccs_identity(m))
     out = "\n".join(lines)
     if failures:
         raise CliError(f"{failures} verification failure(s)\n{out}")

@@ -9,7 +9,7 @@ This module provides the dual involution on admissible indices, the stepwise
 truncation sequence ``k^(0), k^(1), ..., k^(|k|) = phi``, enumeration of all
 admissible indices of a given weight, and deduplication of a list of indices
 by the dual pairing.  ``_Frozen`` is the base of the package's immutable value
-classes (``Index``, ``LsiMonomial``, ``MonomialBasis``, ``NumericConfig``),
+classes (``Index``, ``LsiMonomial``, ``MonomialBasis``),
 written out so that the modules every command loads import no ``dataclasses``.
 """
 
@@ -83,10 +83,6 @@ class Index(_Frozen):
         return len(self.parts)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    @property
     def admissible(self) -> bool:
         return bool(self.parts) and self.parts[-1] >= 2
 
@@ -112,10 +108,6 @@ class Index(_Frozen):
 
     def to_json(self) -> list[int]:
         return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data) -> "Index":
-        return cls(tuple(int(p) for p in data))
 
 
 PHI = Index()

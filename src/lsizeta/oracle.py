@@ -25,9 +25,6 @@ cutoff, and adds the tail beyond n from its asymptotic expansion in 1/j: if
 R_{u+1}(i) ~ sum_m c_m i^(-m), then R_u(j) ~ sum_m c_m S_{m+k_u}(j), with
 S_p(j) = sum_{i > j} i^(-p) expanded by Euler-Maclaurin.  The coefficients
 pass from level to level; at n = 64 the absolute error is about 1e-15.
-
-Each numeric function imports numpy itself: every ``lsi`` command imports
-this module, and only those that evaluate load numpy.
 """
 
 from __future__ import annotations
@@ -35,31 +32,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .algebra import LsiExpr, LsiMonomial
-from .indices import Index, _Frozen
-
-if TYPE_CHECKING:
-    import numpy as np
+from .indices import Index
 
 SIGMA = math.pi / 3.0
-
-
-class NumericConfig(_Frozen):
-    __slots__ = _fields = ("abs_tolerance", "max_depth", "series_cutoff")
-
-    def __init__(self, abs_tolerance: float = 1e-8, max_depth: int = 3, series_cutoff: int = 64):
-        if abs_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if max_depth < 1:
-            raise ValueError("depth cap must be at least 1")
-        if series_cutoff < 16:  # the tail expansion is asymptotic: off by 5e-8 at 4
-            raise ValueError("series cutoff must be at least 16")
-        self._store(abs_tolerance, max_depth, series_cutoff)
-
-
-DEFAULT_CONFIG = NumericConfig()
 
 
 def eval_A(theta: float) -> float:
@@ -77,7 +56,6 @@ _N_CHEB = 48  # points per panel
 
 @lru_cache(maxsize=1)
 def _panel_machine():
-    import numpy as np
     edges = np.concatenate([[-math.log(SIGMA), 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0],
                             np.arange(8.0, 129.0, 8.0)])
     n = _N_CHEB
@@ -105,7 +83,6 @@ def _suffix_integrals(h_vals: np.ndarray):
     (F, total) with F[p, i] = integral of h from x[p, i] to the right end of
     the last panel, and total the full integral.
     """
-    import numpy as np
     _, _, kernel_t, half_width = _panel_machine()
     within = (h_vals @ kernel_t) * half_width                   # node -> panel end
     panel_totals = within[:, 0]
@@ -116,7 +93,6 @@ def _suffix_integrals(h_vals: np.ndarray):
 @lru_cache(maxsize=None)
 def _nested_ls_integral(ks, ls) -> float:
     """Integral over the ordered simplex of prod t_u^{l_u} A(t_u)^{k_u-1-l_u}."""
-    import numpy as np
     t, a_vals, *_ = _panel_machine()
     inner = np.ones_like(t)
     total = 1.0
@@ -131,19 +107,17 @@ def _nested_ls_integral(ks, ls) -> float:
     return total
 
 
-def eval_ls(m: LsiMonomial, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def eval_ls(m: LsiMonomial) -> float:
     """Numerical value of a log-sine monomial at pi/3."""
-    if m.depth > cfg.max_depth:
-        raise ValueError(f"depth {m.depth} beyond configured cap {cfg.max_depth}")
     value = _nested_ls_integral(m.ks, m.ls) if m.depth else 1.0
     return (-1.0) ** m.depth * value * math.pi ** m.pi_pow
 
 
-def eval_expr(e: LsiExpr, cfg: NumericConfig = DEFAULT_CONFIG) -> complex:
+def eval_expr(e: LsiExpr) -> complex:
     """Numerical value of an expression (coefficients become complex)."""
     total = 0j
     for m, c in e.terms():
-        total += (complex(0, c) if e.is_imag(m) else complex(c)) * eval_ls(m, cfg)
+        total += (complex(0, c) if e.is_imag(m) else complex(c)) * eval_ls(m)
     return total
 
 
@@ -158,6 +132,7 @@ def integrate_to_sigma(f) -> float:
 # zeta values by outside-in tail summation
 
 _TAIL_ORDER = 20  # powers 1/j .. 1/j^20 kept in each tail expansion
+_CUTOFF = 64      # terms summed exactly at each level before the tail
 
 
 @lru_cache(maxsize=1)
@@ -167,7 +142,6 @@ def _tail_table() -> np.ndarray:
     Euler-Maclaurin, with B_1 = -1/2:  S_p(j) = j^(1-p)/(p-1)
         + sum_{s >= 1} B_s/s! * p (p+1) ... (p+s-2) * j^(1-p-s).
     """
-    import numpy as np
     m = _TAIL_ORDER
     b_over_fact = [float(bernoulli_number(s) / math.factorial(s)) for s in range(m)]
     table = np.zeros((m + 2, m + 1))
@@ -178,15 +152,13 @@ def _tail_table() -> np.ndarray:
     return table
 
 
-def eval_mzv(k: Index, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def eval_mzv(k: Index) -> float:
     """Nested zeta series of an admissible index, absolute error about 1e-15."""
     if not k.admissible:
         raise ValueError(f"zeta series requires an admissible index, got {k}")
-    import numpy as np
-    n = cfg.series_cutoff
-    inv = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    inv = 1.0 / np.arange(1, _CUTOFF + 1, dtype=np.float64)
     inv_n = inv[-1] ** np.arange(_TAIL_ORDER + 1)
-    r_next = np.ones(n + 1)                  # R_{u+1}(j) for j = 0..n
+    r_next = np.ones(_CUTOFF + 1)            # R_{u+1}(j) for j = 0..n
     coeffs = np.zeros(_TAIL_ORDER + 1)       # R_{u+1}(j) ~ sum_q coeffs[q] j^(-q)
     coeffs[0] = 1.0
     for ku in reversed(k.parts):
@@ -225,13 +197,12 @@ def euler_even_zeta(k: int) -> float:
 # ---------------------------------------------------------------------------
 # numeric checks
 
-def eval_relation(coeffs, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def eval_relation(coeffs) -> float:
     """Residual of sum(c * zeta(k)) for (index, coefficient) pairs."""
-    return float(sum(float(c) * eval_mzv(k, cfg) for k, c in coeffs))
+    return float(sum(float(c) * eval_mzv(k) for k, c in coeffs))
 
 
-def check_ccs_identity(m: int, cfg: NumericConfig = DEFAULT_CONFIG,
-                       drop_zeta_sum: bool = False) -> tuple[bool, float]:
+def check_ccs_identity(m: int) -> float:
     """Classical depth-one integral identity tying the moments of A on
     (0, pi/3) to odd zeta values.
 
@@ -241,21 +212,17 @@ def check_ccs_identity(m: int, cfg: NumericConfig = DEFAULT_CONFIG,
           = -(1/2) (2m+1)! (1 - 2^(-2m-2)) (1 - 3^(-2m-2)) zeta(2m+3)
             + (2m+1)! sum_{k=0}^{m} (-1)^k (pi/3)^(2k) zeta(2m+3-2k) / (2k)!
 
-    Returns (within tolerance, absolute residual).  ``drop_zeta_sum`` omits
-    the alternating zeta sum, a negative control for the harness itself.
+    Returns the absolute residual.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    import numpy as np
     lhs = (-1.0) ** m * integrate_to_sigma(
         lambda t: (t - SIGMA) ** (2 * m + 1) * np.log(2.0 * np.sin(t / 2.0)))
     fac = math.factorial(2 * m + 1)
     rhs = -0.5 * fac * (1 - 2.0 ** (-2 * m - 2)) * (1 - 3.0 ** (-2 * m - 2)) \
-        * eval_mzv(Index((2 * m + 3,)), cfg)
-    if not drop_zeta_sum:
-        rhs += fac * sum((-1.0) ** k * (math.pi / 3) ** (2 * k)
-                         * eval_mzv(Index((2 * m + 3 - 2 * k,)), cfg)
-                         / math.factorial(2 * k)
-                         for k in range(m + 1))
-    residual = abs(lhs - rhs)
-    return residual < cfg.abs_tolerance, residual
+        * eval_mzv(Index((2 * m + 3,)))
+    rhs += fac * sum((-1.0) ** k * (math.pi / 3) ** (2 * k)
+                     * eval_mzv(Index((2 * m + 3 - 2 * k,)))
+                     / math.factorial(2 * k)
+                     for k in range(m + 1))
+    return abs(lhs - rhs)

@@ -529,9 +529,6 @@ class MzvRelation:
 
     coefficients: tuple[tuple[Index, Fraction], ...]
 
-    def coeff_map(self) -> dict[Index, Fraction]:
-        return dict(self.coefficients)
-
     def __str__(self) -> str:
         parts = []
         for k, c in self.coefficients:

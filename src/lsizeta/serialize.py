@@ -5,9 +5,9 @@ The JSON expression format is
     {"terms": [{"pi": m, "k": [...], "l": [...], "re": "p/q", "im": "p/q"}, ...]}
 
 with rationals as exact ``p/q`` strings and terms in the canonical monomial
-order, so serialization is byte-stable and round-trips exactly.  Each term has
-one nonzero part, "re" or "im" as the phase convention of ``lsizeta.algebra``
-makes it; ``expr_from_json`` rejects terms that disagree on the phase bit.
+order, so serialization is byte-stable.  Each term has one nonzero part, "re"
+or "im" as the phase convention of ``lsizeta.algebra`` makes it.  Nothing in
+the package reads these formats back.
 """
 
 from __future__ import annotations
@@ -31,25 +31,6 @@ def expr_to_json(e: LsiExpr) -> dict:
         re, im = ("0", str(c)) if e.is_imag(m) else (str(c), "0")
         terms.append({"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls), "re": re, "im": im})
     return {"terms": terms}
-
-
-def expr_from_json(data: dict) -> LsiExpr:
-    """Inverse of ``expr_to_json``.  The first nonzero term sets the phase bit;
-    a term with both parts nonzero, or whose nonzero part is not the one that
-    bit gives its monomial, is a ValueError."""
-    terms, t = {}, None
-    for item in data["terms"]:
-        m = LsiMonomial(int(item["pi"]), tuple(item["k"]), tuple(item["l"]))
-        re, im = Fraction(item["re"]), Fraction(item["im"])
-        if not (re or im):
-            continue
-        if t is None:
-            t = (m.phase + bool(im)) % 2
-        if re and im or bool(im) != (m.phase + t) % 2:
-            raise ValueError("a coefficient is not i^(depth + pi power + sum l"
-                             f"{' + 1' * t}) times a rational")
-        terms[m] = im or re
-    return LsiExpr(terms, t or 0)
 
 
 def basis_to_json(b: MonomialBasis) -> dict:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -162,6 +163,14 @@ class TestCanonicalize:
         for t in (0, 1):
             e = LsiExpr({mono((3, 2), (0, 0)): F("5/7")}, t)
             assert canonicalize(e) == e
+
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("n", [1, 2, 5, 1200])
+    def test_power_of_one_column(self, n):
+        # Ls_2^(1) = -pi^2/18, and n copies over the ordered simplex divide
+        # its nth power by n!
+        got = canonicalize(LsiExpr.of_monomial(mono((2,) * n, (1,) * n)))
+        assert got == real({PURE(2 * n): F((-1) ** n, 18**n * math.factorial(n))})
 
     def test_shuffle_then_canonicalize_example(self):
         prod = shuffle(mono((1, 3), (0, 1)), mono((2,), (1,)))

@@ -1,9 +1,11 @@
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from lsizeta import polylog
 from lsizeta.cli import main
 from lsizeta.indices import Index
 from lsizeta.relations import re_matrix
-from lsizeta.serialize import expr_from_json, expr_to_json
+from lsizeta.serialize import expr_to_json
 
 
 def run(capsys, *argv):
@@ -44,6 +46,15 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "reduce", "1,3:0,1", "--at", "1")
         assert code == 0 and out == "(-1)*Ls[4]^(2)"
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_reduce_deep_monomial(self, capsys):
+        # Ls_1^(0) = -pi/3, so n of them over the ordered simplex give
+        # (-pi/3)^n / n!, through one reduction per position
+        n = 1200
+        code, out, err = run(capsys, "reduce", ",".join(["1"] * n) + ":" + ",".join(["0"] * n))
+        assert (code, err) == (0, "")
+        assert out == f"({Fraction((-1) ** n, 3**n * math.factorial(n))})*pi^{n}"
+
     def test_zeta_latex(self, capsys):
         code, out, _ = run(capsys, "zeta", "3", "--format", "latex")
         assert code == 0
@@ -54,7 +65,7 @@ class TestBasicCommands:
         assert code == 0
         from lsizeta.indices import Index
         from lsizeta.polylog import li_expand
-        assert expr_from_json(json.loads(out)) == li_expand(Index((1, 3)))
+        assert json.loads(out) == expr_to_json(li_expand(Index((1, 3))))
 
     def test_basis(self, capsys):
         code, out, _ = run(capsys, "basis", "2", "odd")
@@ -235,7 +246,7 @@ class TestCacheEnv:
         assert run(capsys, "dual", "3,2") == (0, "2,1,2", "")
         code, out, err = run(capsys, "li", "2,3", "--format", "json")
         assert code == 0 and err == ""
-        assert expr_from_json(json.loads(out)) == polylog._li_expand_uncached(Index((2, 3)))
+        assert json.loads(out) == expr_to_json(polylog._li_expand_uncached(Index((2, 3))))
         assert path.read_bytes() == b'{"2,3": {"terms": 5}}'
 
     def test_poisoned_entry_is_rejected(self, capsys, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from lsizeta.polylog import (
     save_li_cache,
     zeta_expr,
 )
-from lsizeta.serialize import expr_from_json
+from lsizeta.serialize import expr_to_json
 from test_kernels import i_pow, qi
 
 
@@ -260,7 +260,7 @@ def test_save_li_cache_writes_the_memo_one_line_an_entry(tmp_path):
     assert len(lines) == len(polylog._LI_CACHE)
     for line in lines:
         key, data = json.loads(line)
-        assert expr_from_json(data) == polylog._LI_CACHE[Index.parse(key)], key
+        assert data == expr_to_json(polylog._LI_CACHE[Index.parse(key)]), key
 
 
 def parses(s: str) -> bool:

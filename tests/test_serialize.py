@@ -2,8 +2,6 @@ import hashlib
 import json
 from fractions import Fraction
 
-import pytest
-
 from lsizeta import serialize
 from lsizeta.algebra import LsiExpr, LsiMonomial, canonicalize
 from lsizeta.indices import Index, dual, enumerate_admissible, truncate
@@ -20,32 +18,18 @@ LI_JSON_SHA256 = "9c25254cccb18b2a736122ebc9aa7d0aa38156919fbfb97c2d38149bcf2399
 
 
 class TestJson:
-    def test_expr_roundtrip(self):
-        e = zeta_expr(Index((3,)))
-        data = json.loads(json.dumps(serialize.expr_to_json(e)))
-        assert serialize.expr_from_json(data) == e
-
     def test_expr_format_shape(self):
         e = LsiExpr({LsiMonomial(3): Fraction(-7, 216)})  # odd phase at bit 0: imaginary
         data = serialize.expr_to_json(e)
         assert data == {"terms": [{"pi": 3, "k": [], "l": [], "re": "0", "im": "-7/216"}]}
 
-    def test_odd_phase_bit_roundtrip(self):
+    def test_odd_phase_bit_writes_real_parts(self):
         # a plain monomial of odd phase has bit 1, which its canonical form keeps
         e = canonicalize(LsiExpr.of_monomial(LsiMonomial(0, (2, 1), (1, 0)), 3))
         assert e.t == 1 and e
-        data = serialize.expr_to_json(e)
-        assert all(t["im"] == "0" for t in data["terms"])
-        assert serialize.expr_from_json(data) == e
-
-    @pytest.mark.parametrize("re,im", [("1/2", "1/3"), ("0", "1/3")])
-    def test_term_contradicting_the_phase_is_rejected(self, re, im):
-        # the first term sets bit 0: Ls_2^(0), of odd phase, is imaginary there,
-        # so a real part on pi^2, or two nonzero parts, contradict it
-        data = {"terms": [{"pi": 0, "k": [2], "l": [0], "re": "0", "im": "1"},
-                          {"pi": 2, "k": [], "l": [], "re": re, "im": im}]}
-        with pytest.raises(ValueError, match=r"not i\^\(depth \+ pi power \+ sum l\)"):
-            serialize.expr_from_json(data)
+        assert serialize.expr_to_json(e) == {"terms": [
+            {"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls), "re": str(c), "im": "0"}
+            for m, c in e.terms()]}
 
     def test_terms_in_canonical_order(self):
         e = zeta_expr(Index((5,)))

@@ -1,5 +1,5 @@
-"""The immutable value classes: ``Index``, ``LsiMonomial``, ``MonomialBasis``
-and ``NumericConfig``, written out on ``indices._Frozen`` in place of frozen
+"""The immutable value classes: ``Index``, ``LsiMonomial`` and
+``MonomialBasis``, written out on ``indices._Frozen`` in place of frozen
 dataclasses.  Equality, hash, ``repr``, immutability and the validation
 errors are those the dataclasses had: a value equals another of its class
 with the same fields, hashes as the tuple of its fields, and never equals a
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from lsizeta.algebra import LsiMonomial, MonomialBasis, build_basis
 from lsizeta.indices import Index
-from lsizeta.oracle import NumericConfig
 
 parts = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 columns = st.lists(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
@@ -36,25 +35,23 @@ def test_monomial_equality_and_hash_follow_the_fields(a, b):
     assert LsiMonomial(*a).phase == len(a[1]) + a[0] + sum(a[2])
 
 
-def test_basis_and_config_equality_and_hash_follow_the_fields():
+def test_basis_equality_and_hash_follow_the_fields():
     b = build_basis(5, "odd")
     assert b == MonomialBasis(5, "odd", tuple(b.monomials)) and hash(b) == hash(
         (5, "odd", b.monomials))
     assert b != MonomialBasis(5, "even", b.monomials) and b != build_basis(6, "odd")
-    c = NumericConfig(1e-10, 4)
-    assert c == NumericConfig(abs_tolerance=1e-10, max_depth=4, series_cutoff=64)
-    assert hash(c) == hash((1e-10, 4, 64)) and c != NumericConfig(1e-10, 5)
 
 
 def test_values_never_equal_a_plain_tuple():
     assert Index((1, 3)) != (1, 3) and Index((1, 3)) != ((1, 3),)
     assert LsiMonomial(1, (2,), (0,)) != (1, (2,), (0,))
-    assert NumericConfig() != (1e-8, 3, 64)
+    b = build_basis(3, "odd")
+    assert b != (3, "odd", b.monomials)
     assert len({Index((1, 3)), (1, 3), ((1, 3),)}) == 3
 
 
 @pytest.mark.parametrize("value", [Index((2, 1)), LsiMonomial(1, (3,), (1,)),
-                                   build_basis(3, "odd"), NumericConfig()],
+                                   build_basis(3, "odd")],
                          ids=lambda v: type(v).__name__)
 def test_values_are_immutable_and_copy_as_values(value):
     field = type(value)._fields[0]
@@ -74,8 +71,6 @@ def test_repr():
     assert repr(LsiMonomial(2, (3, 2), (1, 0))) == "LsiMonomial(pi_pow=2, ks=(3, 2), ls=(1, 0))"
     assert repr(build_basis(2, "even")) == (
         "MonomialBasis(weight=2, parity='even', monomials=(LsiMonomial(pi_pow=2, ks=(), ls=()),))")
-    assert repr(NumericConfig()) == (
-        "NumericConfig(abs_tolerance=1e-08, max_depth=3, series_cutoff=64)")
 
 
 @pytest.mark.parametrize("make, message", [
@@ -84,9 +79,6 @@ def test_repr():
     (lambda: LsiMonomial(-1), "pi power must be nonnegative"),
     (lambda: LsiMonomial(0, (2,), ()), "exponent vectors must have equal length"),
     (lambda: LsiMonomial(0, (2,), (2,)), "invalid exponent pair (k=2, l=2)"),
-    (lambda: NumericConfig(0), "tolerance must be positive"),
-    (lambda: NumericConfig(max_depth=0), "depth cap must be at least 1"),
-    (lambda: NumericConfig(series_cutoff=8), "series cutoff must be at least 16"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError) as exc:
