@@ -36,6 +36,11 @@ since the zeta-expression pipeline multiplies the same monomial shapes many
 times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators and build one ``Fraction`` per output coefficient; given
 several pairs, ``multiply`` sums all their products in that one accumulation.
+A product term is imaginary when exactly one of its two factor terms is, so
+``multiply`` may keep one output bit: it then builds only the real or the
+imaginary half, and the pairs that feed the other half are skipped before
+their product table is looked up.  Conjugating each pair's second factor is a
+sign in the same loop.
 Their output monomials are interned and not validated again; ``LsiMonomial``
 validates those from outside, such as CLI literals.
 ``build_basis`` lists the canonical monomials of one weight and parity, the
@@ -399,30 +404,43 @@ def _product_table(a: LsiMonomial, b: LsiMonomial) -> Table:
     return cached
 
 
-def _product_terms(pairs):
-    # i*r times i*s is -r*s: a product term is negated when both factors are imaginary
+def _product_terms(pairs, half: int | None, conj: bool):
+    # i*r times i*s is -r*s: a product term is negated when both factors are
+    # imaginary, and b's imaginary terms once more when b is conjugated.  A
+    # product is imaginary when exactly one factor is, so the b terms of one
+    # bit pair with a term of a to give the half's bit.
     for a, b in pairs:
-        tb = [(mb, mb.pi_pow, c.numerator, c.denominator, (mb.phase + b.t) & 1)
-              for mb, c in b._terms.items()]
+        tb = ([], [])
+        for mb, c in b._terms.items():
+            ib = (mb.phase + b.t) & 1
+            tb[ib].append((mb, mb.pi_pow, -c.numerator if conj and ib else c.numerator,
+                           c.denominator))
         for ma, ca in a._terms.items():
             pa, na, da = ma.pi_pow, ca.numerator, ca.denominator
-            signed = (na, -na) if (ma.phase + a.t) & 1 else (na, na)
-            for mb, pb, nb, db, ib in tb:
-                yield signed[ib] * nb, da * db, pa + pb, _product_table(ma, mb)
+            ia = (ma.phase + a.t) & 1
+            for ib in (0, 1) if half is None else (ia ^ half,):
+                s = -na if ia & ib else na
+                for mb, pb, nb, db in tb[ib]:
+                    yield s * nb, da * db, pa + pb, _product_table(ma, mb)
 
 
-def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr]) -> LsiExpr:
+def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr],
+             half: int | None = None, conj: bool = False) -> LsiExpr:
     """Bilinear shuffle product of ``a`` and ``b`` followed by canonicalization.
 
     Each further ``(a, b)`` pair adds its product; the whole sum is one
     accumulation, cheaper than adding the products one by one.  The products'
-    phase bits must agree, as for ``+``.
+    phase bits must agree, as for ``+``.  With ``conj`` each pair's second
+    factor is conjugated.  With ``half`` = 0 or 1 only the real or the
+    imaginary half is built, as ``real_part`` or ``imag_part`` returns it: a
+    pair of terms feeds one half, and the pairs of the other are skipped.
     """
     pairs = [(x, y) for x, y in ((a, b), *pairs) if x and y]
     bits = {x.t ^ y.t for x, y in pairs}
     if len(bits) > 1:
         raise ValueError("terms of different phase bits have no common representation")
-    return _collect(_product_terms(pairs), bits.pop() if bits else 0)
+    t = bits.pop() if bits else 0
+    return _collect(_product_terms(pairs, half, conj), t ^ (half or 0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,15 @@ inner factors once.
 convolution sum over truncations of the index paired with conjugated
 truncations of the dual index, a rewriting of the known duality for
 polylogarithms at the sixth root of unity into a statement about zeta values;
-all w + 1 products are summed in one integer accumulation.
-Both memoize: a weight class of zeta expressions reuses the same truncations,
-and the zeta expression of the dual index is the conjugate (see ``zeta_expr``).
+all w + 1 products are summed in one integer accumulation.  The conjugation
+is a sign in the product loop, not a conjugated copy of each truncation.  The
+relation matrices read one half of an expansion, so ``zeta_expr`` builds the
+real or the imaginary half alone when asked (``multiply`` skips the pairs of
+the other), and the full expression is the two halves joined.
+Both memoize, the zeta expansions in one memo by index and half: a weight
+class of zeta expressions reuses the same truncations, and the zeta expression
+of the dual index is the conjugate, the same real half and the imaginary half
+negated (see ``zeta_expr``).
 The memos last as long as the process: an expansion is cheaper to compute
 than to read back from a file, so none is read from disk.
 """
@@ -45,11 +51,11 @@ from functools import cache
 from math import factorial, lcm
 
 from . import algebra
-from .algebra import LsiExpr, conjugate, multiply
+from .algebra import LsiExpr, multiply
 from .indices import Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
-_ZETA_CACHE: dict[Index, LsiExpr] = {}
+_ZETA_CACHE: dict[tuple[Index, int], LsiExpr] = {}  # by index and half
 _PREFIX: list[tuple[int, int, dict]] = []  # (part, den, states) per inner factor
 
 
@@ -144,31 +150,37 @@ def li_expand(k: Index) -> LsiExpr:
     return e
 
 
-def zeta_expr(k: Index) -> LsiExpr:
+def zeta_expr(k: Index, half: int | None = None) -> LsiExpr:
     """Log-sine expression of zeta(k) for an admissible index k.
 
     Weight-homogeneous of weight |k|; its real part is the log-sine integral
     expression of the zeta value and its imaginary part vanishes numerically,
-    yielding a relation among log-sine monomials.
+    yielding a relation among log-sine monomials.  ``half`` = 0 or 1 gives
+    only the real or the imaginary half, as ``real_part`` or ``imag_part``
+    returns it; the full expression joins the two.
 
     It is sum_m Li_{k_m} * conj Li_{kd_(w-m)} over the truncations of k and
     its dual kd, so zeta_expr(kd) == conjugate(zeta_expr(k)) exactly; a memo
-    miss whose dual is memoized conjugates that expansion.
+    miss whose dual's half is memoized takes that half, negated if imaginary.
     """
     if not k.admissible:
         raise ValueError(f"zeta expression requires an admissible index, got {k}")
-    e = _ZETA_CACHE.get(k)
+    if half is None:
+        re, im = zeta_expr(k, 0), zeta_expr(k, 1)
+        return LsiExpr({**re._terms, **im._terms}, 0, _trusted=True)
+    e = _ZETA_CACHE.get((k, half))
     if e is not None:
         return e
     kd = dual(k)
-    if kd in _ZETA_CACHE:
-        e = _ZETA_CACHE[k] = conjugate(_ZETA_CACHE[kd])
+    e = _ZETA_CACHE.get((kd, half))
+    if e is not None:
+        e = _ZETA_CACHE[k, half] = -e if half else e
         return e
     # k's truncations, then kd's: each run shares its inner prefix
     lis = [li_expand(t) for t in truncations(k)]
-    duals = [conjugate(li_expand(t)) for t in truncations(kd)]
+    duals = [li_expand(t) for t in truncations(kd)]
     first, *rest = zip(lis, reversed(duals))
-    e = _ZETA_CACHE[k] = multiply(*first, *rest)
+    e = _ZETA_CACHE[k, half] = multiply(*first, *rest, half=half, conj=True)
     return e
 
 

@@ -65,7 +65,6 @@ from .algebra import (
     LsiMonomial,
     MonomialBasis,
     build_basis,
-    imag_part,
     rational_coeffs,
     real_part,
 )
@@ -220,34 +219,39 @@ def _denominator(u: int, M: int, N: int) -> int | None:
 def _lift(zs: list[np.ndarray], ps: np.ndarray):
     """Rationals z from residues zs[k] modulo ps[k], over a common denominator
     D grown from the first and last entry of each row D does not yet clear,
-    in blocks of 64 rows until a sweep grows D no more.  Returns D, the first
+    in blocks of 64 rows: a block that grows D is redone at once, and a block
+    again only if D grew after its digits were made.  Returns D, the first
     h = ceil(K/2) mixed-radix digits of D*z, its sign mask and the prefix
     products W[0..h] of the primes, where |D*z| < W[h] makes
     D*z = sum_k v_k W[k] - W[h] * negative; None if the primes do not suffice."""
     W = [1]
     for p in ps.tolist():
         W.append(W[-1] * p)
-    K, D, grown = len(ps), 1, True
+    K, D = len(ps), 1
     h = (K + 1) // 2
     digits = np.empty((h,) + zs[0].shape, dtype=np.int32)
     neg = np.empty(zs[0].shape, dtype=bool)
-    while grown:
-        grown = False
-        for i0 in range(0, len(neg), 64):
-            if 2 * D * W[h] >= W[K]:
-                return None
-            v = _garner([z[i0:i0 + 64] for z in zs], ps, D)
-            digits[:, i0:i0 + 64] = v[:h]
-            neg[i0:i0 + 64] = (v[h:] == ps[h:, None, None] - 1).all(axis=0)
-            bad, b = ~(neg[i0:i0 + 64] | (v[h:] == 0).all(axis=0)), 1
-            for i in np.flatnonzero(bad.any(axis=1)).tolist():
-                js = np.flatnonzero(bad[i])
-                for j in {js[0], js[-1]}:
-                    d = _denominator(sum(x * w for x, w in zip(v[:, i, j].tolist(), W)), W[K], W[h] - 1)
-                    if d is None:
-                        return None
-                    b = lcm(b, d)
-            D, grown = D * b, grown or b > 1
+    blocks, made = range(0, len(neg), 64), {}  # block start -> D of its digits
+    while stale := [i0 for i0 in blocks if made.get(i0) != D]:
+        for i0 in stale:
+            b = 0
+            while b != 1:
+                if 2 * D * W[h] >= W[K]:
+                    return None
+                v = _garner([z[i0:i0 + 64] for z in zs], ps, D)
+                digits[:, i0:i0 + 64] = v[:h]
+                neg[i0:i0 + 64] = (v[h:] == ps[h:, None, None] - 1).all(axis=0)
+                bad, b = ~(neg[i0:i0 + 64] | (v[h:] == 0).all(axis=0)), 1
+                for i in np.flatnonzero(bad.any(axis=1)).tolist():
+                    js = np.flatnonzero(bad[i])
+                    for j in {js[0], js[-1]}:
+                        d = _denominator(sum(x * w for x, w in zip(v[:, i, j].tolist(), W)),
+                                         W[K], W[h] - 1)
+                        if d is None:
+                            return None
+                        b = lcm(b, d)
+                D *= b
+            made[i0] = D
     return D, digits, neg, W[:h + 1]
 
 
@@ -389,10 +393,10 @@ def _expr_row(e: LsiExpr, basis: MonomialBasis, pos: dict[LsiMonomial, int]) -> 
     return row
 
 
-def _zeta_rows(indices: list[Index]) -> list[LsiExpr]:
+def _zeta_rows(indices: list[Index], half: int) -> list[LsiExpr]:
     exprs = []
     for i, k in enumerate(indices):
-        exprs.append(zeta_expr(k))
+        exprs.append(zeta_expr(k, half))
         _LOG.info("expanded %d/%d (weight %d)", i + 1, len(indices), k.weight)
     return exprs
 
@@ -402,8 +406,7 @@ def re_matrix(w: int) -> RationalMatrix:
     indices = dedupe_by_duality(enumerate_admissible(w))
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
-    exprs = _zeta_rows(indices)
-    rows = [_expr_row(real_part(e), basis, pos) for e in exprs]
+    rows = [_expr_row(e, basis, pos) for e in _zeta_rows(indices, 0)]
     return RationalMatrix(rows, list(indices), list(basis.monomials))
 
 
@@ -412,8 +415,7 @@ def im_matrix(w: int) -> RationalMatrix:
     indices = dedupe_by_duality(enumerate_admissible(w), drop_self_dual=True)
     basis = build_basis(w, _parity_name(w + 1))
     pos = basis.position()
-    exprs = _zeta_rows(indices)
-    rows = [_expr_row(imag_part(e), basis, pos) for e in exprs]
+    rows = [_expr_row(e, basis, pos) for e in _zeta_rows(indices, 1)]
     return RationalMatrix(rows, list(indices), list(basis.monomials))
 
 
@@ -433,7 +435,7 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     w = 2 * k + 1
     factor = Fraction(1, 2) * (1 - Fraction(1, 4**k)) * (1 - Fraction(1, 9**k))
     lhs = real_part(li_expand(Index((w,))))
-    rhs = real_part(zeta_expr(Index((w,)))).scaled(factor)
+    rhs = zeta_expr(Index((w,)), 0).scaled(factor)
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
     row = _expr_row(lhs - rhs, basis, pos)

@@ -33,8 +33,11 @@ from lsizeta.algebra import (
     _interleavings,
     _reduce_step,
     canonicalize,
+    conjugate,
+    imag_part,
     monomial_from_cols,
     multiply,
+    real_part,
 )
 from lsizeta import polylog, relations
 from lsizeta.indices import Index, dual, enumerate_admissible, truncate
@@ -146,6 +149,22 @@ def ref_multiply(a, b):
             dpi = ma.pi_pow + mb.pi_pow
             for mono, f in ref_product_cols(ma.cols(), mb.cols()).items():
                 q_add_into(acc, mono.shifted(dpi), (re * f, im * f))
+    return acc
+
+
+def ref_multiply_half(a, b, half, conj):
+    """The real (half 0) or imaginary (half 1) part of a times b, b conjugated
+    if ``conj``, as a map of real pairs: one Fraction product per pair of
+    terms, each signed by i*i = -1 and by the conjugation, and kept if its
+    part is the half's."""
+    acc = {}
+    for ma, (ra, ia) in a.items():
+        for mb, (rb, ib) in b.items():
+            ib = -ib if conj else ib
+            c = (ra * ib + ia * rb) if half else (ra * rb - ia * ib)
+            dpi = ma.pi_pow + mb.pi_pow
+            for mono, f in ref_product_cols(ma.cols(), mb.cols()).items():
+                q_add_into(acc, mono.shifted(dpi), (c * f, ZERO))
     return acc
 
 
@@ -331,6 +350,22 @@ def test_multiply_matches_witness(a, b):
     c = canonicalize(a)  # a - c is zero once canonical, so is its product
     assert multiply(a - c, b) == LsiExpr.zero()
     assert ref_multiply(qi(a - c), qi(b)) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(2, 3), exprs(2, 3), st.integers(0, 1), st.booleans())
+def test_one_half_product_matches_witness(a, b, half, conj):
+    got = multiply(a, b, half=half, conj=conj)
+    assert qi(got) == ref_multiply_half(qi(a), qi(b), half, conj)
+    assert got == (imag_part if half else real_part)(multiply(a, conjugate(b) if conj else b))
+    # sums that cancel: a pair negated, a non-canonical difference, and the
+    # imaginary half of a times its conjugate, whose pairs cancel two by two
+    assert multiply(a, b, (a, -b), half=half, conj=conj) == LsiExpr.zero()
+    c = canonicalize(a)
+    assert multiply(a - c, b, half=half, conj=conj) == LsiExpr.zero()
+    assert ref_multiply_half(qi(a - c), qi(b), half, conj) == {}
+    assert multiply(a, a, half=1, conj=True) == LsiExpr.zero()
+    assert ref_multiply_half(qi(a), qi(a), 1, True) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,6 +636,25 @@ def test_bound_covers_the_most_negative_int64(monkeypatch):
     got = RationalMatrix(rows).rref()
     assert (got.rows, got.pivot_cols) == ref_rref(rows)
     assert checks and all(args[1] >= 2**63 for args, _ in checks)
+
+
+def test_lift_redoes_a_block_only_if_d_grew_after_it(monkeypatch):
+    # im(4) is one block whose echelon row has denominators: a pass at D = 1
+    # finds them, and one more makes the digits at the grown D
+    garners = spy(monkeypatch, "_garner")
+    im_matrix(4).rref()
+    assert len(garners) == 2
+    # three blocks of rows, halves in the second: that block is redone at
+    # once, the third made at the grown D, and the first made again; growing
+    # D by whole sweeps took six passes
+    garners.clear()
+    rows = [[Fraction(2 * (j == i) + (i >= 64 and j == 130)) for j in range(131)]
+            for i in range(130)]
+    got = RationalMatrix(rows).rref()
+    assert [args[2] for args, _ in garners] == [1, 1, 2, 2, 2]
+    assert got.pivot_cols == tuple(range(130))
+    assert got.rows == [[Fraction(j == i) + (i >= 64 and j == 130) / Fraction(2)
+                         for j in range(131)] for i in range(130)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lsizeta.polylog import (
     save_li_cache,
     zeta_expr,
 )
+from lsizeta.relations import im_matrix
 from lsizeta.serialize import expr_to_json
 from test_kernels import i_pow, qi
 
@@ -140,14 +141,55 @@ def _dual_pairs(max_weight):
             for k in dedupe_by_duality(enumerate_admissible(w), drop_self_dual=True)]
 
 
+def _forget(*ks):
+    for k in ks:
+        for half in (0, 1):
+            polylog._ZETA_CACHE.pop((k, half), None)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_halves_are_the_parts_of_the_full_product():
+    # each half, asked first, after the full expression or after the dual's
+    # halves, is real_part/imag_part of the product with conjugated dual
+    # truncations built in full (== compares the phase bits too)
+    for k in (k for w in range(2, 10) for k in enumerate_admissible(w)):
+        kd = dual(k)
+        lis = [li_expand(t) for t in truncations(k)]
+        duals = [conjugate(li_expand(t)) for t in truncations(kd)]
+        first, *rest = zip(lis, reversed(duals))
+        full = multiply(*first, *rest)
+        want = real_part(full), imag_part(full)
+        for order in ("half first", "full first", "dual first"):
+            _forget(k, kd)
+            if order == "full first":
+                assert zeta_expr(k) == full, (k, order)
+            elif order == "dual first":
+                zeta_expr(kd)
+            got = zeta_expr(k, 0), zeta_expr(k, 1)
+            assert got == want, (k, order)
+            assert zeta_expr(k) == full and zeta_expr(k).t == 0, (k, order)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_im8_builds_only_its_half_of_the_products(monkeypatch):
+    # 2,722 of the 5,428 term pairs of im(8)'s expansions are imaginary; the
+    # real ones never reach a product table
+    calls = []
+    table = algebra._product_table
+    monkeypatch.setattr(algebra, "_product_table", lambda a, b: calls.append(1) or table(a, b))
+    im_matrix(8)
+    assert len(calls) == 2722
+
+
 @pytest.mark.usefixtures("fresh_caches")
 class TestDualShortcut:
     """zeta_expr of an index whose dual is memoized is that expansion conjugated."""
 
     def test_shortcut_matches_the_full_product(self, monkeypatch):
+        # a full expression is two one-half products; the dual's takes none
         products = []
         monkeypatch.setattr(polylog, "multiply",
-                            lambda *a: products.append(1) or multiply(*a))
+                            lambda *a, **kw: products.append(1) or multiply(*a, **kw))
         for k in _dual_pairs(8):
             full, short = {}, {}
             for first, second in ((dual(k), k), (k, dual(k))):
@@ -155,7 +197,7 @@ class TestDualShortcut:
                 n = len(products)
                 full[first] = zeta_expr(first)
                 short[second] = zeta_expr(second)
-                assert len(products) == n + 1, (first, second)
+                assert len(products) == n + 2, (first, second)
             for kk in (k, dual(k)):
                 assert short[kk] == full[kk] and short[kk].t == full[kk].t, kk
 
@@ -164,7 +206,7 @@ class TestDualShortcut:
         e = zeta_expr(k)
         assert dual(k) != k and conjugate(e) != e
 
-        def no_product(*pairs):
+        def no_product(*pairs, **kw):
             raise AssertionError("zeta_expr multiplied")
 
         monkeypatch.setattr(polylog, "multiply", no_product)
