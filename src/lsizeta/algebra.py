@@ -4,8 +4,9 @@ The basic symbol is a monomial ``pi^m * Ls_{k1,...,kn}^{(l1,...,ln)}(pi/3)``
 carrying a nonnegative pi-power and paired exponent vectors with
 ``k_u - 1 - l_u >= 0`` at every position (the number of log-factors in the
 integrand).  Expressions are finite Q(i)-linear combinations of monomials
-stored with one rational per monomial and one phase bit t per expression:
-the coefficient of m is r when ``m.phase + t`` is even and i*r when it is odd,
+stored as integer numerators n over one positive denominator d sharing no
+factor with all of them, and one phase bit t per expression: with r = n/d the
+coefficient of m is r when ``m.phase + t`` is even and i*r when it is odd,
 ``m.phase`` = q = depth + pi-power + sum l, stored on m when it is built.
 Shuffles and reductions keep q and products add it, so the bit survives the
 whole algebra: a plain monomial has t = q mod 2 (a real coefficient), the
@@ -34,8 +35,10 @@ is commutative and associative.  Canonical forms and products of monomials
 are cached as integer tables (n/d per monomial) keyed by the exponent vectors,
 since the zeta-expression pipeline multiplies the same monomial shapes many
 times over.  The kernels sum integer numerators over the lcm of all terms'
-denominators and build one ``Fraction`` per output coefficient; given
-several pairs, ``multiply`` sums all their products in that one accumulation.
+denominators, a pair of expressions adding over the product of their two, and
+divide out one gcd: no ``Fraction`` is built.  Those appear only at the edges
+(the public constructor, ``terms``, ``rational_coeffs``).  Given several
+pairs, ``multiply`` sums all their products in that one accumulation.
 A product term is imaginary when exactly one of its two factor terms is, so
 ``multiply`` may keep one output bit: it then builds only the real or the
 imaginary half, and the pairs that feed the other half are skipped before
@@ -133,23 +136,29 @@ def monomial_from_cols(pi_pow: int, cols: Cols) -> LsiMonomial:
 
 class LsiExpr:
     """Immutable finite map monomial -> nonzero rational, plus the phase bit
-    ``t`` of the module docstring (0 for the zero expression)."""
+    ``t`` of the module docstring (0 for the zero expression).  The rationals
+    are integer numerators over one positive ``den`` sharing no factor with
+    all of them, so equal values compare and hash equal.  ``terms`` maps to
+    rationals, or, when ``den`` is given (the kernels), to nonzero integer
+    numerators over it."""
 
-    __slots__ = ("_terms", "t")
+    __slots__ = ("_terms", "den", "t")
 
-    def __init__(self, terms: dict[LsiMonomial, Fraction] | None = None, t: int = 0,
-                 _trusted: bool = False):
-        if terms is None:
-            self._terms: dict[LsiMonomial, Fraction] = {}
-        elif _trusted:
-            self._terms = terms
-        else:
-            if any(isinstance(c, float) for c in terms.values()):
+    def __init__(self, terms: dict | None = None, t: int = 0, den: int | None = None):
+        if den is None:
+            if any(isinstance(c, float) for c in (terms or {}).values()):
                 raise TypeError("coefficients are exact rationals, not floats")
-            self._terms = {m: Fraction(c) for m, c in terms.items() if c}
+            rs = [(m, r) for m, c in (terms or {}).items() if (r := Fraction(c))]
+            den = lcm(*(r.denominator for _, r in rs))
+            terms = {m: r.numerator * (den // r.denominator) for m, r in rs}
+        elif (g := gcd(den, *terms.values())) > 1:
+            den //= g
+            terms = {m: n // g for m, n in terms.items()}
         if t not in (0, 1):
             raise ValueError("the phase bit is 0 or 1")
-        self.t = t if self._terms else 0
+        self._terms: dict[LsiMonomial, int] = terms
+        self.den = den
+        self.t = t if terms else 0
 
     @classmethod
     def zero(cls) -> "LsiExpr":
@@ -157,16 +166,20 @@ class LsiExpr:
 
     @classmethod
     def unit(cls) -> "LsiExpr":
-        return cls({LsiMonomial(): Fraction(1)}, _trusted=True)
+        return cls({LsiMonomial(): 1}, 0, 1)
 
     @classmethod
     def of_monomial(cls, m: LsiMonomial, coeff=1) -> "LsiExpr":
         """``coeff`` (a rational) times ``m``."""
         return cls({m: coeff}, m.phase % 2)
 
+    def numerators(self) -> list[tuple[LsiMonomial, int]]:
+        """(monomial, n), r = n / den, in the canonical monomial order."""
+        return sorted(self._terms.items(), key=lambda mn: mn[0].sort_key())
+
     def terms(self) -> list[tuple[LsiMonomial, Fraction]]:
         """(monomial, r) in the canonical monomial order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        return [(m, Fraction(n, self.den)) for m, n in self.numerators()]
 
     def is_imag(self, m: LsiMonomial) -> bool:
         """Whether the coefficient of ``m`` is i times its rational."""
@@ -183,28 +196,28 @@ class LsiExpr:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LsiExpr) and self.t == other.t
-                and self._terms == other._terms)
+                and self.den == other.den and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.t, frozenset(self._terms.items())))
+        return hash((self.t, self.den, frozenset(self._terms.items())))
 
     def __add__(self, other: "LsiExpr") -> "LsiExpr":
         if not self._terms:
             return other
         if other._terms and other.t != self.t:
             raise ValueError("terms of different phase bits have no common representation")
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {m: n * fa for m, n in self._terms.items()}
+        for m, n in other._terms.items():
+            if s := out.get(m, 0) + n * fb:
                 out[m] = s
-            elif m in out:
+            else:
                 del out[m]
-        return LsiExpr(out, self.t, _trusted=True)
+        return LsiExpr(out, self.t, den)
 
     def __neg__(self) -> "LsiExpr":
-        return LsiExpr({m: -c for m, c in self._terms.items()}, self.t, _trusted=True)
+        return LsiExpr({m: -n for m, n in self._terms.items()}, self.t, self.den)
 
     def __sub__(self, other: "LsiExpr") -> "LsiExpr":
         return self + (-other)
@@ -214,7 +227,8 @@ class LsiExpr:
         c = Fraction(c)
         if not c:
             return LsiExpr()
-        return LsiExpr({m: v * c for m, v in self._terms.items()}, self.t, _trusted=True)
+        return LsiExpr({m: n * c.numerator for m, n in self._terms.items()}, self.t,
+                       self.den * c.denominator)
 
     def is_weight_homogeneous(self) -> bool:
         weights = {m.weight for m in self._terms}
@@ -272,36 +286,35 @@ def shuffle(a: LsiMonomial, b: LsiMonomial) -> LsiExpr:
     for cols in _interleavings(a.cols(), b.cols()):
         m = monomial_from_cols(pi, cols)
         acc[m] = acc.get(m, 0) + 1
-    return LsiExpr({m: Fraction(n) for m, n in acc.items()}, (a.phase + b.phase) % 2,
-                   _trusted=True)
+    return LsiExpr(acc, (a.phase + b.phase) % 2, 1)
 
 
 # ---------------------------------------------------------------------------
 # depth reduction at a position with no log-factor
 
-def _reduce_step(cols: Cols, j: int) -> list[tuple[Fraction, int, Cols]]:
+def _reduce_step(cols: Cols, j: int) -> list[tuple[int, int, int, Cols]]:
     # One application of the depth-lowering rule at 1-based position j with
-    # k_j - 1 - l_j = 0.  Returns (rational factor, pi-power shift, new cols)
-    # children; sigma^k at the evaluation point sigma = pi/3 is stored as a
-    # pi-power shift k with factor 3^(-k).
+    # k_j - 1 - l_j = 0.  Returns (n, d, pi-power shift, new cols) children,
+    # each with factor n/d; sigma^k at the evaluation point sigma = pi/3 is
+    # stored as a pi-power shift k with factor 3^(-k).
     n = len(cols)
     k = cols[j - 1][0]
     if n == 1:
-        return [(Fraction(-1, k * 3**k), k, ())]
+        return [(-1, k * 3**k, k, ())]
     if j == 1:
         k2, l2 = cols[1]
         merged = ((k2 + k, l2 + k),) + cols[2:]
-        return [(Fraction(-1, k), 0, merged)]
+        return [(-1, k, 0, merged)]
     if j < n:
         km, lm = cols[j - 2]
         kp, lp = cols[j]
         minus = cols[:j - 2] + ((km + k, lm + k),) + cols[j:]
         plus = cols[:j - 1] + ((kp + k, lp + k),) + cols[j + 1:]
-        return [(Fraction(1, k), 0, minus), (Fraction(-1, k), 0, plus)]
+        return [(1, k, 0, minus), (-1, k, 0, plus)]
     km, lm = cols[n - 2]
     minus = cols[:n - 2] + ((km + k, lm + k),)
     dropped = cols[:n - 1]
-    return [(Fraction(1, k), 0, minus), (Fraction(-1, k * 3**k), k, dropped)]
+    return [(1, k, 0, minus), (-1, k * 3**k, k, dropped)]
 
 
 def reduce_at(m: LsiMonomial, j: int) -> LsiExpr:
@@ -309,9 +322,9 @@ def reduce_at(m: LsiMonomial, j: int) -> LsiExpr:
     if not 1 <= j <= m.depth or m.ks[j - 1] - 1 - m.ls[j - 1] != 0:
         raise ValueError(f"reduction not applicable at {j}")
     acc: dict[LsiMonomial, Fraction] = {}
-    for f, dpi, cols in _reduce_step(m.cols(), j):
+    for n, d, dpi, cols in _reduce_step(m.cols(), j):
         mono = monomial_from_cols(m.pi_pow + dpi, cols)
-        acc[mono] = acc.get(mono, 0) + f
+        acc[mono] = acc.get(mono, 0) + Fraction(n, d)
     return LsiExpr(acc, m.phase % 2)
 
 
@@ -347,8 +360,7 @@ _MONOMIALS = _Interned()
 
 def _collect(terms, t: int) -> LsiExpr:
     den, acc = _accumulate(terms)
-    return LsiExpr({_MONOMIALS[m]: Fraction(n, den) for m, n in acc.items() if n}, t,
-                   _trusted=True)
+    return LsiExpr({_MONOMIALS[m]: n for m, n in acc.items() if n}, t, den)
 
 
 # canonical form of a pi-free monomial given by cols
@@ -373,21 +385,21 @@ def _canon_cols(cols: Cols) -> Table:
         stack = [(cols, _reduce_step(cols, j))]
         while stack:
             top, steps = stack.pop()
-            pending = [(c, _reduce_step(c, jc)) for _, _, c in steps
+            pending = [(c, _reduce_step(c, jc)) for *_, c in steps
                        if c not in _CANON_CACHE and (jc := _free_position(c)) is not None]
             if pending:
                 stack += [(top, steps), *pending]
                 continue
             table = _CANON_CACHE[top] = _table(
-                (f.numerator, f.denominator, dpi, _canon_cols(c)) for f, dpi, c in steps)
+                (n, d, dpi, _canon_cols(c)) for n, d, dpi, c in steps)
     _CANON_CACHE[cols] = table
     return table
 
 
 def canonicalize(e: LsiExpr) -> LsiExpr:
     """Reduce every monomial to canonical form (linear extension, fixpoint)."""
-    return _collect(((c.numerator, c.denominator, m.pi_pow, _canon_cols(m.cols()))
-                     for m, c in e._terms.items()), e.t)
+    return _collect(((n, e.den, m.pi_pow, _canon_cols(m.cols()))
+                     for m, n in e._terms.items()), e.t)
 
 
 # canonicalized product of the pi-free parts of two monomials, by (ks, ls, ks', ls')
@@ -408,20 +420,20 @@ def _product_terms(pairs, half: int | None, conj: bool):
     # i*r times i*s is -r*s: a product term is negated when both factors are
     # imaginary, and b's imaginary terms once more when b is conjugated.  A
     # product is imaginary when exactly one factor is, so the b terms of one
-    # bit pair with a term of a to give the half's bit.
+    # bit pair with a term of a to give the half's bit.  A pair's terms share
+    # the denominator a.den * b.den.
     for a, b in pairs:
-        tb = ([], [])
-        for mb, c in b._terms.items():
+        den, tb = a.den * b.den, ([], [])
+        for mb, nb in b._terms.items():
             ib = (mb.phase + b.t) & 1
-            tb[ib].append((mb, mb.pi_pow, -c.numerator if conj and ib else c.numerator,
-                           c.denominator))
-        for ma, ca in a._terms.items():
-            pa, na, da = ma.pi_pow, ca.numerator, ca.denominator
+            tb[ib].append((mb, mb.pi_pow, -nb if conj and ib else nb))
+        for ma, na in a._terms.items():
+            pa = ma.pi_pow
             ia = (ma.phase + a.t) & 1
             for ib in (0, 1) if half is None else (ia ^ half,):
                 s = -na if ia & ib else na
-                for mb, pb, nb, db in tb[ib]:
-                    yield s * nb, da * db, pa + pb, _product_table(ma, mb)
+                for mb, pb, nb in tb[ib]:
+                    yield s * nb, den, pa + pb, _product_table(ma, mb)
 
 
 def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr],
@@ -448,18 +460,15 @@ def multiply(a: LsiExpr, b: LsiExpr, *pairs: tuple[LsiExpr, LsiExpr],
 # coefficients only: a term is real or imaginary by its phase and the bit t)
 
 def conjugate(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: -c if e.is_imag(m) else c for m, c in e._terms.items()}, e.t,
-                   _trusted=True)
+    return LsiExpr({m: -n if e.is_imag(m) else n for m, n in e._terms.items()}, e.t, e.den)
 
 
 def real_part(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: c for m, c in e._terms.items() if not e.is_imag(m)}, e.t,
-                   _trusted=True)
+    return LsiExpr({m: n for m, n in e._terms.items() if not e.is_imag(m)}, e.t, e.den)
 
 
 def imag_part(e: LsiExpr) -> LsiExpr:
-    return LsiExpr({m: c for m, c in e._terms.items() if e.is_imag(m)}, 1 - e.t,
-                   _trusted=True)
+    return LsiExpr({m: n for m, n in e._terms.items() if e.is_imag(m)}, 1 - e.t, e.den)
 
 
 def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
@@ -467,7 +476,7 @@ def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
     for m in e._terms:
         if e.is_imag(m):
             raise ValueError(f"expression has a non-real coefficient at {m}")
-    return dict(e._terms)
+    return {m: Fraction(n, e.den) for m, n in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------

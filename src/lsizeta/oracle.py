@@ -116,7 +116,8 @@ def eval_ls(m: LsiMonomial) -> float:
 def eval_expr(e: LsiExpr) -> complex:
     """Numerical value of an expression (coefficients become complex)."""
     total = 0j
-    for m, c in e.terms():
+    for m, n in e.numerators():
+        c = n / e.den  # correctly rounded, as float(Fraction(n, den)) is
         total += (complex(0, c) if e.is_imag(m) else complex(c)) * eval_ls(m)
     return total
 

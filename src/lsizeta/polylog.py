@@ -20,8 +20,9 @@ closes with p_u = 0 is reduced away at once by the rule stated in
 t_{u+1} (sigma = pi/3 after the last factor), so states hold canonical
 columns only and the last factor yields canonical monomials.  States hold
 integer numerators over the product of 2^e e! lcm(1..k_1 + ... + k_u),
-e = k_u - 1 (3^p more for pi^p), and no powers of i: a state's phase is
-(-1)^n i^q, q = its monomial's ``phase``, which the reductions keep.  The
+e = k_u - 1, and no powers of i: a state's phase is (-1)^n i^q, q = its
+monomial's ``phase``, which the reductions keep.  The expansion is those
+numerators over that product times 3^w, each pi^p's 3^p folded in.  The
 states after factor u depend on k_1..k_u alone, so those after each inner
 factor of the index expanded last are kept in one path, cut back to what the
 next one shares: the truncations k, k^(1), ... of one index convolve their
@@ -35,11 +36,11 @@ all w + 1 products are summed in one integer accumulation.  The conjugation
 is a sign in the product loop, not a conjugated copy of each truncation.  The
 relation matrices read one half of an expansion, so ``zeta_expr`` builds the
 real or the imaginary half alone when asked (``multiply`` skips the pairs of
-the other), and the full expression is the two halves joined.
-Both memoize, the zeta expansions in one memo by index and half: a weight
-class of zeta expressions reuses the same truncations, and the zeta expression
-of the dual index is the conjugate, the same real half and the imaginary half
-negated (see ``zeta_expr``).
+the other); a full expression is one pass over all the pairs, split into its
+halves.  Both memoize, the zeta expansions in one memo by index and half: a
+weight class of zeta expressions reuses the same truncations, and the zeta
+expression of the dual index is the conjugate, the same real half and the
+imaginary half negated (see ``zeta_expr``).
 The memos last as long as the process: an expansion is cheaper to compute
 than to read back from a file, so none is read from disk.
 """
@@ -51,7 +52,7 @@ from functools import cache
 from math import factorial, lcm
 
 from . import algebra
-from .algebra import LsiExpr, multiply
+from .algebra import LsiExpr, imag_part, multiply, real_part
 from .indices import Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
@@ -128,9 +129,10 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
     e = k.parts[-1] - 1
     big = lcm(*range(1, w + 1))
     den *= 2 ** e * factorial(e) * big
-    # A(t_{n+1}) = 0, and the pending power p of t_{n+1} = sigma = pi/3 is pi^p / 3^p
+    # A(t_{n+1}) = 0, and the pending power p of t_{n+1} = sigma = pi/3 is
+    # pi^p / 3^p: over den 3^w the numerator takes 3^(w - p)
     last = tuple(term for term in _inner_factor_terms(e) if not term[0])
-    terms = {}
+    terms, pow3 = {}, [3 ** (w - p) for p in range(w + 1)]
     for (_, p, ks, ls), num in _convolve(states, last, big).items():
         if num:
             # The stripped phases multiply to i^(pi + sum l); with i^n from dt
@@ -138,8 +140,8 @@ def _li_expand_uncached(k: Index) -> LsiExpr:
             # q = n + pi + sum l of the raw monomial, which the reductions keep
             # as m's phase.  At phase bit 0 its rational is (-1)^(n + q // 2) num/den.
             m = algebra._MONOMIALS[p, ks, ls]
-            terms[m] = Fraction(-num if (n + m.phase // 2) % 2 else num, den * 3 ** p)
-    return LsiExpr(terms, 0, _trusted=True)
+            terms[m] = (-num if (n + m.phase // 2) % 2 else num) * pow3[p]
+    return LsiExpr(terms, 0, den * 3 ** w)
 
 
 def li_expand(k: Index) -> LsiExpr:
@@ -157,7 +159,8 @@ def zeta_expr(k: Index, half: int | None = None) -> LsiExpr:
     expression of the zeta value and its imaginary part vanishes numerically,
     yielding a relation among log-sine monomials.  ``half`` = 0 or 1 gives
     only the real or the imaginary half, as ``real_part`` or ``imag_part``
-    returns it; the full expression joins the two.
+    returns it.  The full expression is built in one pass and memoized as
+    its two halves; a later call joins them.
 
     It is sum_m Li_{k_m} * conj Li_{kd_(w-m)} over the truncations of k and
     its dual kd, so zeta_expr(kd) == conjugate(zeta_expr(k)) exactly; a memo
@@ -165,23 +168,27 @@ def zeta_expr(k: Index, half: int | None = None) -> LsiExpr:
     """
     if not k.admissible:
         raise ValueError(f"zeta expression requires an admissible index, got {k}")
-    if half is None:
-        re, im = zeta_expr(k, 0), zeta_expr(k, 1)
-        return LsiExpr({**re._terms, **im._terms}, 0, _trusted=True)
-    e = _ZETA_CACHE.get((k, half))
-    if e is not None:
-        return e
-    kd = dual(k)
-    e = _ZETA_CACHE.get((kd, half))
-    if e is not None:
-        e = _ZETA_CACHE[k, half] = -e if half else e
-        return e
-    # k's truncations, then kd's: each run shares its inner prefix
-    lis = [li_expand(t) for t in truncations(k)]
-    duals = [li_expand(t) for t in truncations(kd)]
-    first, *rest = zip(lis, reversed(duals))
-    e = _ZETA_CACHE[k, half] = multiply(*first, *rest, half=half, conj=True)
-    return e
+    kd, halves = dual(k), (0, 1) if half is None else (half,)
+    for h in halves:
+        if (k, h) not in _ZETA_CACHE and (e := _ZETA_CACHE.get((kd, h))) is not None:
+            _ZETA_CACHE[k, h] = -e if h else e
+    missing = [h for h in halves if (k, h) not in _ZETA_CACHE]
+    if missing:
+        # k's truncations, then kd's: each run shares its inner prefix
+        lis = [li_expand(t) for t in truncations(k)]
+        duals = [li_expand(t) for t in truncations(kd)]
+        first, *rest = zip(lis, reversed(duals))
+        e = multiply(*first, *rest, half=missing[0] if len(missing) == 1 else None, conj=True)
+        if len(missing) == 2:
+            _ZETA_CACHE[k, 0], _ZETA_CACHE[k, 1] = real_part(e), imag_part(e)
+            return e
+        _ZETA_CACHE[k, missing[0]] = e
+    if half is not None:
+        return _ZETA_CACHE[k, half]
+    re, im = _ZETA_CACHE[k, 0], _ZETA_CACHE[k, 1]
+    den = lcm(re.den, im.den)
+    return LsiExpr({m: n * (den // x.den) for x in (re, im) for m, n in x._terms.items()},
+                   0, den)
 
 
 def mgl_value(a: int, b: int) -> Fraction:

@@ -13,6 +13,7 @@ the package reads these formats back.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .algebra import LsiExpr, LsiMonomial, MonomialBasis
@@ -26,9 +27,11 @@ if TYPE_CHECKING:  # relations loads numpy, which no emitter needs
 # JSON
 
 def expr_to_json(e: LsiExpr) -> dict:
-    terms = []
-    for m, c in e.terms():
-        re, im = ("0", str(c)) if e.is_imag(m) else (str(c), "0")
+    terms, den, t = [], e.den, e.t
+    for m, n in e.numerators():
+        g = gcd(n, den)  # str(Fraction(n, den)), without building the Fraction
+        c = str(n // g) if g == den else f"{n // g}/{den // g}"
+        re, im = ("0", c) if (m.phase + t) & 1 else (c, "0")  # is_imag, inlined for the cache save
         terms.append({"pi": m.pi_pow, "k": list(m.ks), "l": list(m.ls), "re": re, "im": im})
     return {"terms": terms}
 

@@ -1,7 +1,8 @@
 """The integer kernels against ``Fraction`` and modular witnesses.
 
 ``algebra`` and ``polylog`` sum integer numerators over one common denominator
-and store one rational per monomial, its power of i implied by the phase bit.
+and store an expression as integer numerators over one positive denominator,
+each coefficient's power of i implied by the phase bit.
 The functions below are the earlier per-term formulation of the same kernels,
 kept here only as an independent reference: every coefficient is a Gaussian
 rational, a local pair of ``Fraction``s, so the witness assumes no phase rule,
@@ -107,10 +108,10 @@ def ref_canon_cols(cols, strategy="leftmost"):
     else:
         j = reducible[0] if strategy == "leftmost" else reducible[-1]
         result = {}
-        for f, dpi, child in _reduce_step(cols, j):
+        for n, d, dpi, child in _reduce_step(cols, j):
             for mono, g in ref_canon_cols(child, strategy).items():
                 key = mono.shifted(dpi)
-                result[key] = result.get(key, 0) + f * g
+                result[key] = result.get(key, 0) + Fraction(n, d) * g
         result = {m: c for m, c in result.items() if c}
     _REF_CANON[(cols, strategy)] = result
     return result
@@ -312,7 +313,7 @@ def test_phase_invariant(w):
                 for j, (kj, lj) in enumerate(m.cols(), 1):
                     if kj - 1 - lj == 0:
                         assert all(monomial_from_cols(m.pi_pow + dpi, child).phase == m.phase
-                                   for _, dpi, child in _reduce_step(m.cols(), j)), (m, j)
+                                   for *_, dpi, child in _reduce_step(m.cols(), j)), (m, j)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +374,40 @@ def test_one_half_product_matches_witness(a, b, half, conj):
 def test_further_pairs_add_their_products(a, b, c, d):
     d = LsiExpr(dict(d.terms()), a.t ^ b.t ^ c.t)  # both products on one phase bit
     assert multiply(a, b, (c, d)) == multiply(a, b) + multiply(c, d)
+
+
+def assert_normal(e, what):
+    # one positive denominator sharing no factor with all the numerators, none zero
+    nums = [n for _, n in e.numerators()]
+    assert e.den > 0 and gcd(e.den, *nums) == 1 and all(nums), what
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(2, 3), exprs(2, 3), rationals.filter(bool), st.integers(0, 1))
+def test_every_operation_keeps_the_normal_form(a, b, r, half):
+    b = LsiExpr(dict(b.terms()), a.t)  # on a's bit, so that + and - apply
+    built = {"constructor": a, "multiply": multiply(a, b), "pairs": multiply(a, b, (b, a)),
+             "half": multiply(a, b, half=half, conj=True), "canonicalize": canonicalize(a),
+             "+": a + b, "-": a - b, "cancel": a - a, "neg": -a, "scaled": a.scaled(r),
+             "conjugate": conjugate(a), "real": real_part(a), "imag": imag_part(a)}
+    for what, e in built.items():
+        assert_normal(e, what)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(2, 3), exprs(2, 3), rationals.filter(bool))
+def test_equal_values_compare_and_hash_equal(a, b, r):
+    # the same value reached by different routes has one denominator and one hash
+    b = LsiExpr(dict(b.terms()), a.t)
+    p = multiply(a, b)
+    routes = [(LsiExpr(dict(p.terms()), p.t), p),  # the public constructor from Fractions
+              (multiply(b, a), p),
+              (multiply(a, b, half=0), real_part(p)), (multiply(a, b, half=1), imag_part(p)),
+              ((a + b) - b, a), (-(-a), a), (a.scaled(r).scaled(1 / r), a),
+              (a.scaled(r), LsiExpr({m: c * r for m, c in a.terms()}, a.t)),
+              (real_part(a) + LsiExpr(dict(imag_part(a).terms()), a.t), a)]
+    for got, want in routes:
+        assert got == want and hash(got) == hash(want) and got.den == want.den, (got, want)
 
 
 # ---------------------------------------------------------------------------

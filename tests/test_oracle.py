@@ -27,7 +27,7 @@ from lsizeta.oracle import (
     integrate_to_sigma,
 )
 from lsizeta.polylog import li_expand, zeta_expr
-from lsizeta.relations import build_basis
+from lsizeta.relations import build_basis, ls_relations_for
 
 
 def mono(ks, ls, pi=0):
@@ -232,6 +232,24 @@ class TestEvalExpr:
             val = eval_expr(zeta_expr(k))
             assert val.real == pytest.approx(eval_mzv(k), abs=1e-6), k
             assert abs(val.imag) < 1e-6, k
+
+
+def _fraction_sum(e):
+    # the float sum from Fraction coefficients in the canonical order
+    total = 0j
+    for m, c in e.terms():
+        total += (complex(0, c) if e.is_imag(m) else complex(c)) * eval_ls(m)
+    return total
+
+
+def test_eval_expr_is_the_fraction_sum_bit_for_bit():
+    # n / den is correctly rounded, as float(Fraction) is, and the order is the
+    # same: the verify residuals, and their digests, cannot move
+    exprs = [zeta_expr(k) for w in range(2, 9) for k in enumerate_admissible(w)]
+    rel = ls_relations_for(7)
+    exprs += [LsiExpr(dict(zip(rel.col_labels, row))) for row in rel.rows]
+    for e in exprs:
+        assert eval_expr(e) == _fraction_sum(e), e
 
 
 def random_monomial(rng, max_weight=6, max_depth=2):

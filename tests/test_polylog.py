@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsizeta import algebra, polylog
+from lsizeta import algebra, polylog, relations
 from lsizeta.algebra import LsiExpr, LsiMonomial, conjugate, imag_part, multiply, real_part
 from lsizeta.indices import (
     LITERAL,
@@ -182,11 +182,51 @@ def test_im8_builds_only_its_half_of_the_products(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_caches")
+def test_im8_expansions_build_no_fraction(monkeypatch):
+    # the kernels carry integer numerators over one denominator from li_expand
+    # through the products; Fractions appear only at the public edges
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (algebra, polylog):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    indices = dedupe_by_duality(enumerate_admissible(8), drop_self_dual=True)
+    exprs = relations._zeta_rows(indices, 1)  # what im_matrix(8) expands
+    assert not made
+    exprs[0].terms()
+    assert made  # the patch is seen: terms() is an edge
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_a_full_expansion_looks_up_each_truncation_once(monkeypatch):
+    # both halves come from one pass over the truncations of k and of its dual
+    looked = []
+    monkeypatch.setattr(polylog, "li_expand", lambda t: looked.append(t) or li_expand(t))
+    for k in (k for w in range(2, 9) for k in enumerate_admissible(w)):
+        polylog._ZETA_CACHE.clear()
+        looked.clear()
+        e = zeta_expr(k)
+        assert looked == [*truncations(k), *truncations(dual(k))], k
+        # later calls join the memoized halves: equal, and equal in hash
+        assert zeta_expr(k) == e and hash(zeta_expr(k)) == hash(e), k
+        assert len(looked) == 2 * (k.weight + 1), k
+        for h in (0, 1):  # one half memoized: the full expression builds the other
+            polylog._ZETA_CACHE.clear()
+            zeta_expr(k, h)
+            assert zeta_expr(k) == e and hash(zeta_expr(k)) == hash(e), (k, h)
+            assert zeta_expr(k, 1 - h) == (imag_part if h == 0 else real_part)(e), (k, h)
+
+
+@pytest.mark.usefixtures("fresh_caches")
 class TestDualShortcut:
     """zeta_expr of an index whose dual is memoized is that expansion conjugated."""
 
     def test_shortcut_matches_the_full_product(self, monkeypatch):
-        # a full expression is two one-half products; the dual's takes none
+        # a full expression is one product, split into its halves; the dual's takes none
         products = []
         monkeypatch.setattr(polylog, "multiply",
                             lambda *a, **kw: products.append(1) or multiply(*a, **kw))
@@ -197,7 +237,7 @@ class TestDualShortcut:
                 n = len(products)
                 full[first] = zeta_expr(first)
                 short[second] = zeta_expr(second)
-                assert len(products) == n + 2, (first, second)
+                assert len(products) == n + 1, (first, second)
             for kk in (k, dual(k)):
                 assert short[kk] == full[kk] and short[kk].t == full[kk].t, kk
 
