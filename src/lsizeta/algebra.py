@@ -37,8 +37,9 @@ since the zeta-expression pipeline multiplies the same monomial shapes many
 times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators, a pair of expressions adding over the product of their two, and
 divide out one gcd: no ``Fraction`` is built.  Those appear only at the edges
-(the public constructor, ``terms``, ``rational_coeffs``).  Given several
-pairs, ``multiply`` sums all their products in that one accumulation.
+(the public constructor and ``terms``); the relation matrices read the
+integers through ``numerators`` and ``den``.  Given several pairs,
+``multiply`` sums all their products in that one accumulation.
 A product term is imaginary when exactly one of its two factor terms is, so
 ``multiply`` may keep one output bit: it then builds only the real or the
 imaginary half, and the pairs that feed the other half are skipped before
@@ -469,14 +470,6 @@ def real_part(e: LsiExpr) -> LsiExpr:
 
 def imag_part(e: LsiExpr) -> LsiExpr:
     return LsiExpr({m: n for m, n in e._terms.items() if e.is_imag(m)}, 1 - e.t, e.den)
-
-
-def rational_coeffs(e: LsiExpr) -> dict[LsiMonomial, Fraction]:
-    """Coefficients of a real expression as plain rationals."""
-    for m in e._terms:
-        if e.is_imag(m):
-            raise ValueError(f"expression has a non-real coefficient at {m}")
-    return {m: Fraction(n, e.den) for m, n in e._terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,9 @@ def cmd_verify(args) -> str:
         record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k)))
         record(f"zeta({k}) imaginary part", abs(val.imag))
     rel = ls_relations_for(w)
-    for i, row in enumerate(rel.rows):
-        e = LsiExpr(dict(zip(rel.col_labels, row)))
-        record(f"monomial relation {rel.row_labels[i]}", abs(eval_expr(e)))
+    for label, row, den in zip(rel.row_labels, rel.nums, rel.dens):
+        e = LsiExpr({m: n for m, n in zip(rel.col_labels, row) if n}, 0, den)
+        record(f"monomial relation {label}", abs(eval_expr(e)))
     for k in (1, 2, 3):
         record(f"even zeta closed form 2k={2 * k}",
                abs(eval_mzv(Index((2 * k,))) - euler_even_zeta(k)))

@@ -9,7 +9,7 @@ This module provides the dual involution on admissible indices, the stepwise
 truncation sequence ``k^(0), k^(1), ..., k^(|k|) = phi``, enumeration of all
 admissible indices of a given weight, and deduplication of a list of indices
 by the dual pairing.  ``_Frozen`` is the base of the package's immutable value
-classes (``Index``, ``LsiMonomial``, ``MonomialBasis``),
+classes (``Index``, ``LsiMonomial``, ``MonomialBasis``, ``MzvRelation``),
 written out so that the modules every command loads import no ``dataclasses``.
 """
 

@@ -24,13 +24,15 @@ The relation pipeline for a weight w:
    explicit Q-linear relations among the zeta values; coefficients are
    returned cleared to coprime integers with a deterministic sign.
 
-Entries are ``fractions.Fraction``; echelon forms are fully reduced with unit
+Rows are integer numerators over one positive denominator, normalized as an
+``LsiExpr`` is, from the expansion to the echelon form; ``RationalMatrix.rows``
+is their ``fractions.Fraction`` view.  Echelon forms are fully reduced with unit
 pivots.  Each zeta row built for a matrix logs ``expanded i/n (weight w)`` at
 INFO on ``lsizeta.relations``.
 
 One routine, ``_reduce``, row-reduces for ``rref``, ``rank`` and
 ``_eliminate``, multi-modularly with a certificate (Cabay 1971; FLINT's
-``fmpz_mat_rref_mul``).  Rows are cleared to integers A, held as int64
+``fmpz_mat_rref_mul``).  The row numerators A are held as int64
 limbs of 31 bits where an entry does not fit int64, and reduced modulo
 primes below 2^21, from one fixed list, as int64 residues: blocked
 Gauss-Jordan for all primes at once, whose matrix products run in float64 on
@@ -54,7 +56,6 @@ A.  A failed lift or check adds primes; nothing is returned unchecked.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -65,14 +66,11 @@ from .algebra import (
     LsiMonomial,
     MonomialBasis,
     build_basis,
-    rational_coeffs,
     real_part,
 )
-from .indices import Index, dedupe_by_duality, enumerate_admissible
+from .indices import Index, _Frozen, dedupe_by_duality, enumerate_admissible
 from .polylog import li_expand, zeta_expr
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _LOG = logging.getLogger(__name__)
 
 
@@ -287,17 +285,13 @@ def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], npivot: int,
     return True
 
 
-def _reduce(rows: list[list[Fraction]], npivot: int, values: bool = True):
-    """Exact Gauss-Jordan elimination, pivots in the first ``npivot`` rows, as
-    the module docstring describes.  Returns the pivot columns and, if
-    ``values``, the echelon rows and then the later rows reduced by them."""
-    scales, ints = [], []
-    for row in rows:
-        pairs = [x.as_integer_ratio() for x in row]
-        scales.append(lcm(*(d for _, d in pairs)))
-        ints.append([n * (scales[-1] // d) for n, d in pairs])
-    limbs = _limbs(ints, (len(rows), len(rows[0]) if rows else 0))
-    del ints
+def _reduce(nums: list[list[int]], dens: list[int], npivot: int, values: bool = True):
+    """Exact Gauss-Jordan elimination of the integer rows ``nums``, pivots in
+    the first ``npivot``, as the module docstring describes.  Returns the
+    pivot columns and, if ``values``, the echelon rows and then the later rows
+    reduced by them, as integer rows over their denominators: D for an echelon
+    row, D times the row's ``dens`` entry for a later one."""
+    limbs = _limbs(nums, (len(nums), len(nums[0]) if nums else 0))
     # max|A| <= sum_j max|L_j| 2^(31 j), in Python ints: |-2^63| does not fit int64
     bound = sum(max(int(x.max()), -int(x.min())) << 31 * j
                 for j, x in enumerate(limbs)) if limbs[0].size else 0
@@ -316,81 +310,105 @@ def _reduce(rows: list[list[Fraction]], npivot: int, values: bool = True):
         if lifted is not None and _certified(limbs, bound, piv, npivot, lifted, used):
             break
     if not values:
-        return piv, None
+        return piv, None, None
     D, v, neg, W = lifted
     del zs, lifted, limbs
-    h, dens, out = len(v), [D] * len(piv) + [D * d for d in scales[npivot:]], []
+    h, out = len(v), []
     dt = np.int64 if W[h] < 1 << 63 else object
-    for i in range(0, len(dens), 256):  # D*z as int64 if it fits, else Python ints
+    for i in range(0, len(neg), 256):  # D*z as int64 if it fits, else Python ints
         num = -neg[i:i + 256].astype(dt) * W[h]
         for g in range(0, h, 3):  # three 21-bit digits at a time fit in int64
             num += sum(v[k, i:i + 256] * np.int64(W[k] // W[g])
                        for k in range(g, min(g + 3, h))).astype(dt) * W[g]
-        out += [[Fraction(x, d) if x else _ZERO for x in row]
-                for row, d in zip(num.tolist(), dens[i:i + 256])]
-    return piv, out
+        out += num.tolist()
+    return piv, out, [D] * len(piv) + [D * d for d in dens[npivot:]]
 
 
-@dataclass
 class RationalMatrix:
-    """Dense matrix of Fractions with optional row/column labels."""
+    """Dense rational matrix with optional row/column labels.  Row i is the
+    integers ``nums[i]`` over ``dens[i]`` > 0, sharing no factor with all of
+    them, so a zero row has denominator 1 and equal rows are stored alike.
+    ``rows`` are rationals, or, when ``dens`` is given (the kernels), integer
+    rows over those denominators; the ``rows`` property is the rational view."""
 
-    rows: list[list[Fraction]]
-    row_labels: list = field(default_factory=list)
-    col_labels: list = field(default_factory=list)
-    pivot_cols: tuple[int, ...] = ()
+    __slots__ = ("nums", "dens", "row_labels", "col_labels", "pivot_cols")
+
+    def __init__(self, rows, row_labels=(), col_labels=(), pivot_cols=(), dens=None):
+        if dens is None:
+            pairs = [[x.as_integer_ratio() for x in row] for row in rows]
+            dens = [lcm(*(d for _, d in row)) for row in pairs]
+            rows = [[n * (den // d) for n, d in row] for row, den in zip(pairs, dens)]
+        else:
+            gs = [gcd(d, *row) for row, d in zip(rows, dens)]
+            rows = [row if g == 1 else [n // g for n in row] for row, g in zip(rows, gs)]
+            dens = [d // g for d, g in zip(dens, gs)]
+        self.nums, self.dens = rows, dens
+        self.row_labels, self.col_labels = list(row_labels), list(col_labels)
+        self.pivot_cols = tuple(pivot_cols)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The entries as rationals, built on each call."""
+        return [[Fraction(n, d) for n in row] for row, d in zip(self.nums, self.dens)]
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else len(self.col_labels)
+        return len(self.nums[0]) if self.nums else len(self.col_labels)
 
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form: unit pivots, zeros above and below."""
-        pivots, rows = _reduce(self.rows, self.nrows)
-        rows += [[_ZERO] * self.ncols for _ in range(self.nrows - len(pivots))]
-        return RationalMatrix(rows, [None] * self.nrows, list(self.col_labels),
-                              tuple(pivots))
+        pivots, nums, dens = _reduce(self.nums, self.dens, self.nrows)
+        pad = self.nrows - len(pivots)
+        return RationalMatrix(nums + [[0] * self.ncols for _ in range(pad)], [None] * self.nrows,
+                              self.col_labels, pivots, dens + [1] * pad)
 
     @property
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(_reduce(self.rows, self.nrows, values=False)[0])
-
-    def nonzero_rows(self) -> list[list[Fraction]]:
-        return [row for row in self.rows if any(row)]
+        return len(_reduce(self.nums, self.dens, self.nrows, values=False)[0])
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:
             raise ValueError("column count mismatch")
-        return RationalMatrix(
-            [row[:] for row in self.rows] + [row[:] for row in other.rows],
-            list(self.row_labels) + list(other.row_labels),
-            list(self.col_labels))
+        return RationalMatrix(self.nums + other.nums, self.row_labels + other.row_labels,
+                              self.col_labels, dens=self.dens + other.dens)
 
 
 def same_rowspace(a: RationalMatrix, b: RationalMatrix) -> bool:
     """Rowspace equality via the canonical reduced echelon form."""
-    ra = [row for row in a.rref().rows if any(row)]
-    rb = [row for row in b.rref().rows if any(row)]
-    return ra == rb
+    ra, rb = a.rref(), b.rref()
+    r = len(ra.pivot_cols)
+    return (ra.pivot_cols, ra.nums[:r], ra.dens[:r]) == (rb.pivot_cols, rb.nums[:r], rb.dens[:r])
 
 
 # ---------------------------------------------------------------------------
 # zeta coefficient matrices
 
-def _expr_row(e: LsiExpr, basis: MonomialBasis, pos: dict[LsiMonomial, int]) -> list[Fraction]:
-    row = [_ZERO] * len(basis)
-    for m, c in rational_coeffs(e).items():
+def _expr_row(e: LsiExpr, basis: MonomialBasis,
+              pos: dict[LsiMonomial, int]) -> tuple[list[int], int]:
+    """The real expression ``e`` over ``basis`` (``pos`` its positions): its
+    integer numerators in basis order and its denominator."""
+    row = [0] * len(basis)
+    for m, n in e.numerators():
+        if e.is_imag(m):
+            raise ValueError(f"expression has a non-real coefficient at {m}")
         j = pos.get(m)
         if j is None:
             raise ValueError(f"monomial outside declared basis: {m}")
-        row[j] = c
-    return row
+        row[j] = n
+    return row, e.den
+
+
+def _matrix(exprs: list[LsiExpr], labels: list, basis: MonomialBasis) -> RationalMatrix:
+    pos = basis.position()
+    rows = [_expr_row(e, basis, pos) for e in exprs]
+    return RationalMatrix([row for row, _ in rows], labels, basis.monomials,
+                          dens=[den for _, den in rows])
 
 
 def _zeta_rows(indices: list[Index], half: int) -> list[LsiExpr]:
@@ -404,19 +422,13 @@ def _zeta_rows(indices: list[Index], half: int) -> list[LsiExpr]:
 def re_matrix(w: int) -> RationalMatrix:
     """Real parts of weight-w zeta expressions over the matching-parity basis."""
     indices = dedupe_by_duality(enumerate_admissible(w))
-    basis = build_basis(w, _parity_name(w))
-    pos = basis.position()
-    rows = [_expr_row(e, basis, pos) for e in _zeta_rows(indices, 0)]
-    return RationalMatrix(rows, list(indices), list(basis.monomials))
+    return _matrix(_zeta_rows(indices, 0), indices, build_basis(w, _parity_name(w)))
 
 
 def im_matrix(w: int) -> RationalMatrix:
     """Imaginary parts of weight-w zeta expressions (self-dual rows dropped)."""
     indices = dedupe_by_duality(enumerate_admissible(w), drop_self_dual=True)
-    basis = build_basis(w, _parity_name(w + 1))
-    pos = basis.position()
-    rows = [_expr_row(e, basis, pos) for e in _zeta_rows(indices, 1)]
-    return RationalMatrix(rows, list(indices), list(basis.monomials))
+    return _matrix(_zeta_rows(indices, 1), indices, build_basis(w, _parity_name(w + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +448,7 @@ def inject_cr_relation(k: int) -> RationalMatrix:
     factor = Fraction(1, 2) * (1 - Fraction(1, 4**k)) * (1 - Fraction(1, 9**k))
     lhs = real_part(li_expand(Index((w,))))
     rhs = zeta_expr(Index((w,)), 0).scaled(factor)
-    basis = build_basis(w, _parity_name(w))
-    pos = basis.position()
-    row = _expr_row(lhs - rhs, basis, pos)
-    return RationalMatrix([row], [f"cr:{k}"], list(basis.monomials))
+    return _matrix([lhs - rhs], [f"cr:{k}"], build_basis(w, _parity_name(w)))
 
 
 def ls_relations_for(w: int) -> RationalMatrix:
@@ -459,46 +468,46 @@ def ls_relations_for(w: int) -> RationalMatrix:
         raise ValueError("weight must be >= 2")
     basis = build_basis(w, _parity_name(w))
     pos = basis.position()
-    rows: list[list[Fraction]] = []
+    nums: list[list[int]] = []
+    dens: list[int] = []
     labels: list = []
 
-    def lift(src: RationalMatrix, src_rows, shift: int, label: str) -> None:
-        # move each row onto the weight-w basis, column label times pi^shift
-        for row in src_rows:
-            out = [_ZERO] * len(basis)
-            for c, val in enumerate(row):
-                if val:
-                    out[pos[src.col_labels[c].shifted(shift)]] = val
-            rows.append(out)
-            labels.append(label)
+    def lift(src: RationalMatrix, shift: int, label: str, min_pi: int = 0) -> None:
+        # move each echelon row of src whose pivot column has at least min_pi
+        # factors of pi onto the weight-w basis, column label times pi^shift
+        ech = src.rref()
+        for row, den, pc in zip(ech.nums, ech.dens, ech.pivot_cols):
+            if src.col_labels[pc].pi_pow >= min_pi:
+                out = [0] * len(basis)
+                for c, n in enumerate(row):
+                    if n:
+                        out[pos[src.col_labels[c].shifted(shift)]] = n
+                nums.append(out)
+                dens.append(den)
+                labels.append(label)
 
-    src = im_matrix(w + 1)
-    ech = src.rref()
     # a pivot in a pi-divisible column: the pi-ascending column order
     # guarantees the whole row is supported there
-    lift(src, [row for row, pc in zip(ech.rows, ech.pivot_cols)
-               if src.col_labels[pc].pi_pow >= 1], -1, f"im{w + 1}/pi^1")
-
+    lift(im_matrix(w + 1), -1, f"im{w + 1}/pi^1", min_pi=1)
     for src_w in range(w - 1, 2, -2):
-        src = im_matrix(src_w)
-        lift(src, src.rref().nonzero_rows(), w - src_w, f"im{src_w}*pi^{w - src_w}")
-
-    return RationalMatrix(rows, labels, list(basis.monomials))
+        lift(im_matrix(src_w), w - src_w, f"im{src_w}*pi^{w - src_w}")
+    return RationalMatrix(nums, labels, basis.monomials, dens=dens)
 
 
 def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMatrix:
     """Zero the relation pivot columns of ``matrix`` by exact substitution:
     each row less its pivot entries times the relations' echelon rows."""
-    pivots, rows = _reduce(relations.rows + matrix.rows, relations.nrows)
-    return RationalMatrix(rows[len(pivots):], list(matrix.row_labels),
-                          list(matrix.col_labels))
+    pivots, nums, dens = _reduce(relations.nums + matrix.nums, relations.dens + matrix.dens,
+                                 relations.nrows)
+    return RationalMatrix(nums[len(pivots):], matrix.row_labels, matrix.col_labels,
+                          dens=dens[len(pivots):])
 
 
 def reduce_mzv_matrix(w: int) -> RationalMatrix:
     """Real matrix of weight w after substituting all known monomial relations."""
     base = re_matrix(w)
     rels = ls_relations_for(w)
-    if not rels.rows:
+    if not rels.nrows:
         return base
     return _eliminate(base, rels)
 
@@ -513,23 +522,23 @@ def compute_lk(w: int) -> int:
 
 def reduce_real_expr(e: LsiExpr, w: int) -> LsiExpr:
     """Substitute the weight-w monomial relations into a real expression."""
-    basis = build_basis(w, _parity_name(w))
-    pos = basis.position()
-    mat = RationalMatrix([_expr_row(e, basis, pos)], [None], list(basis.monomials))
+    mat = _matrix([e], [None], build_basis(w, _parity_name(w)))
     rels = ls_relations_for(w)
-    if rels.rows:
+    if rels.nrows:
         mat = _eliminate(mat, rels)
-    return LsiExpr(dict(zip(basis.monomials, mat.rows[0])))
+    return LsiExpr({m: n for m, n in zip(mat.col_labels, mat.nums[0]) if n}, 0, mat.dens[0])
 
 
 # ---------------------------------------------------------------------------
 # explicit zeta relations
 
-@dataclass(frozen=True)
-class MzvRelation:
+class MzvRelation(_Frozen):
     """A Q-linear relation sum(c_k * zeta(k)) = 0 with coprime integer c_k."""
 
-    coefficients: tuple[tuple[Index, Fraction], ...]
+    __slots__ = _fields = ("coefficients",)  # ((Index, Fraction), ...)
+
+    def __init__(self, coefficients: tuple[tuple[Index, Fraction], ...]):
+        self._store(coefficients)
 
     def __str__(self) -> str:
         parts = []
@@ -541,40 +550,35 @@ class MzvRelation:
         return " ".join(parts) + " = 0"
 
 
-def _normalize_relation(pairs: list[tuple[Index, Fraction]]) -> MzvRelation:
-    pairs = [(k, c) for k, c in pairs if c]
-    denoms = lcm(*(c.denominator for _, c in pairs)) if pairs else 1
-    ints = [(k, c * denoms) for k, c in pairs]
-    g = gcd(*(int(c) for _, c in ints)) if ints else 1
-    ints = [(k, Fraction(int(c) // g)) for k, c in ints]
-    # fix sign: lexicographically-first index gets a positive coefficient
-    lexfirst = min(ints, key=lambda kc: kc[0].parts)
-    if lexfirst[1] < 0:
-        ints = [(k, -c) for k, c in ints]
-    ints.sort(key=lambda kc: (kc[0].depth, kc[0].parts))
-    return MzvRelation(tuple(ints))
+def _normalize_relation(pairs: list[tuple[Index, int]]) -> MzvRelation:
+    # nonzero integers over one denominator: divide by their gcd, make the
+    # lexicographically first index's coefficient positive, order by depth
+    g = gcd(*(n for _, n in pairs))
+    if min(pairs, key=lambda kn: kn[0].parts)[1] < 0:
+        g = -g
+    pairs = sorted(pairs, key=lambda kn: (kn[0].depth, kn[0].parts))
+    return MzvRelation(tuple((k, Fraction(n // g)) for k, n in pairs))
 
 
 def mzv_relations(w: int) -> list[MzvRelation]:
     """Independent Q-linear relations among the weight-w zeta representatives.
 
     Row-reduce the relation-reduced real matrix augmented with an identity
-    block tracking the zeta combination of each row; rows whose monomial part
-    vanishes entirely are relations.
+    block tracking the zeta combination of each row (each row's denominator
+    on the diagonal of its integers); rows whose monomial part vanishes
+    entirely are relations.
     """
     reduced = reduce_mzv_matrix(w)
     n = reduced.nrows
     nc = reduced.ncols
     aug = RationalMatrix(
-        [row[:] + [_ONE if i == j else _ZERO for j in range(n)]
-         for i, row in enumerate(reduced.rows)],
-        list(reduced.row_labels),
-        list(reduced.col_labels) + list(reduced.row_labels))
-    ech = aug.rref()
+        [row + [den if i == j else 0 for j in range(n)]
+         for i, (row, den) in enumerate(zip(reduced.nums, reduced.dens))],
+        reduced.row_labels, reduced.col_labels + reduced.row_labels, dens=reduced.dens)
     out = []
-    for row in ech.rows:
+    for row in aug.rref().nums:
         if any(row[:nc]) or not any(row[nc:]):
             continue
-        pairs = [(reduced.row_labels[j], row[nc + j]) for j in range(n) if row[nc + j]]
-        out.append(_normalize_relation(pairs))
+        out.append(_normalize_relation([(reduced.row_labels[j], c)
+                                        for j, c in enumerate(row[nc:]) if c]))
     return out

@@ -22,7 +22,6 @@ from lsizeta.algebra import (
     conjugate,
     imag_part,
     multiply,
-    rational_coeffs,
     real_part,
     reduce_at,
     shuffle,
@@ -104,7 +103,8 @@ def permuted(matrix, rows, cols):
 
 def solve_single_relation(e: LsiExpr, pivot: LsiMonomial) -> LsiExpr:
     # rewrite the vanishing expression e as: pivot = rest
-    coeffs = rational_coeffs(e)
+    assert e == real_part(e)
+    coeffs = dict(e.terms())
     lead = coeffs.pop(pivot)
     return LsiExpr({m: -c / lead for m, c in coeffs.items()}, e.t)
 

@@ -7,15 +7,16 @@ import pytest
 from lsizeta.algebra import (
     LsiExpr,
     LsiMonomial,
+    MonomialBasis,
     canonicalize,
     conjugate,
     imag_part,
     multiply,
-    rational_coeffs,
     real_part,
     reduce_at,
     shuffle,
 )
+from lsizeta.relations import _expr_row
 from test_kernels import qi, ref_canonicalize
 
 
@@ -267,11 +268,13 @@ class TestRealImag:
             e = LsiExpr({mono((3,), (1,)): 2, mono((3,), (0,)): 3}, t)
             assert conjugate(conjugate(e)) == e and conjugate(e) != e
 
-    def test_rational_coeffs_rejects_complex(self):
+    def test_matrix_row_rejects_complex(self):
+        # a relation matrix row holds real coefficients only
         e = LsiExpr({PURE(2): 1, PURE(1): 1}, 1)  # i pi^2 + pi
-        with pytest.raises(ValueError):
-            rational_coeffs(e)
-        assert rational_coeffs(real_part(e)) == {PURE(1): 1}
+        basis = MonomialBasis(2, "even", (PURE(1), PURE(2)))
+        with pytest.raises(ValueError, match="non-real"):
+            _expr_row(e, basis, basis.position())
+        assert _expr_row(real_part(e), basis, basis.position()) == ([1, 0], 1)
 
 
 class TestExprContainer:

@@ -40,7 +40,7 @@ from lsizeta.algebra import (
     multiply,
     real_part,
 )
-from lsizeta import polylog, relations
+from lsizeta import algebra, polylog, relations
 from lsizeta.indices import Index, dual, enumerate_admissible, truncate
 from lsizeta.polylog import li_expand, zeta_expr
 from lsizeta.relations import (
@@ -500,9 +500,20 @@ def ff_eliminate(rows, relations):
     return [[Fraction(x, row[-1]) for x in row[:-1]] for row in m[len(relations):]]
 
 
+def assert_normal_form(matrix):
+    """Row i is the ints nums[i] over dens[i] > 0, sharing no factor with all
+    of them (so a zero row has denominator 1)."""
+    assert len(matrix.nums) == len(matrix.dens)
+    for row, den in zip(matrix.nums, matrix.dens):
+        assert type(den) is int and den > 0 and gcd(den, *row) == 1
+        assert all(type(n) is int for n in row)
+
+
 def assert_rref_matches(matrix):
     got = matrix.rref()
     rows, pivots = ref_rref(matrix.rows)
+    assert_normal_form(matrix)
+    assert_normal_form(got)
     assert got.pivot_cols == pivots
     assert got.rows == rows
     assert all(type(x) is Fraction for row in got.rows for x in row)
@@ -533,6 +544,7 @@ def test_rref_matches_witness(build, w):
 def test_eliminate_matches_witness(w):
     base, rels = re_matrix(w), ls_relations_for(w)
     got = _eliminate(base, rels)
+    assert_normal_form(got)
     assert got.rows == ref_eliminate(base.rows, rels.rows) == ff_eliminate(base.rows, rels.rows)
     assert got.row_labels == base.row_labels and got.col_labels == base.col_labels
 
@@ -567,7 +579,11 @@ DUP = [[Fraction(1, 3), Fraction(2)], [Fraction(1, 3), Fraction(2)]]
 @example(COL).via("nx1")
 @example(DUP).via("duplicated rows")
 def test_rref_matches_witness_on_random_matrices(rows):
-    assert_rref_matches(RationalMatrix(rows))
+    matrix = RationalMatrix(rows)
+    assert matrix.rows == rows
+    assert all(type(x) is Fraction for row in matrix.rows for x in row)
+    assert_rref_matches(matrix)
+    assert_normal_form(matrix.stack(matrix))
 
 
 @settings(max_examples=200, deadline=None)
@@ -579,6 +595,7 @@ def test_rref_matches_witness_on_random_matrices(rows):
 def test_eliminate_matches_witness_on_random_matrices(pair):
     rows, relations = pair
     got = _eliminate(RationalMatrix(rows), RationalMatrix(relations))
+    assert_normal_form(got)
     assert got.rows == ref_eliminate(rows, relations)
 
 
@@ -601,6 +618,7 @@ def huge_matrices(draw, nc=None):
 @given(huge_matrices())
 def test_rref_matches_witnesses_beyond_int64(rows):
     got = RationalMatrix(rows).rref()
+    assert_normal_form(got)
     assert (got.rows, got.pivot_cols) == ref_rref(rows) == ff_rref(rows)
 
 
@@ -609,7 +627,27 @@ def test_rref_matches_witnesses_beyond_int64(rows):
 def test_eliminate_matches_witnesses_beyond_int64(pair):
     rows, relations = pair
     got = _eliminate(RationalMatrix(rows), RationalMatrix(relations))
+    assert_normal_form(got)
     assert got.rows == ref_eliminate(rows, relations) == ff_eliminate(rows, relations)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_relation_matrices_build_no_fraction(monkeypatch):
+    # integer rows go from the expansions through _reduce to the echelon form
+    # and the relations; Fractions appear only at the public edges
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (algebra, polylog, relations):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    ls_relations_for(7)
+    compute_lk(9)
+    assert not made
+    assert im_matrix(4).rows and made  # the patch is seen: the rows view is an edge
 
 
 def spy(monkeypatch, name, change=None):

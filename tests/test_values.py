@@ -1,5 +1,5 @@
-"""The immutable value classes: ``Index``, ``LsiMonomial`` and
-``MonomialBasis``, written out on ``indices._Frozen`` in place of frozen
+"""The immutable value classes: ``Index``, ``LsiMonomial``, ``MonomialBasis``
+and ``MzvRelation``, written out on ``indices._Frozen`` in place of frozen
 dataclasses.  Equality, hash, ``repr``, immutability and the validation
 errors are those the dataclasses had: a value equals another of its class
 with the same fields, hashes as the tuple of its fields, and never equals a
@@ -7,6 +7,7 @@ plain tuple."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from lsizeta.algebra import LsiMonomial, MonomialBasis, build_basis
 from lsizeta.indices import Index
+from lsizeta.relations import MzvRelation
 
 parts = st.lists(st.integers(1, 4), max_size=4).map(tuple)
 columns = st.lists(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
@@ -51,7 +53,8 @@ def test_values_never_equal_a_plain_tuple():
 
 
 @pytest.mark.parametrize("value", [Index((2, 1)), LsiMonomial(1, (3,), (1,)),
-                                   build_basis(3, "odd")],
+                                   build_basis(3, "odd"),
+                                   MzvRelation(((Index((3,)), Fraction(1)),))],
                          ids=lambda v: type(v).__name__)
 def test_values_are_immutable_and_copy_as_values(value):
     field = type(value)._fields[0]
@@ -71,6 +74,8 @@ def test_repr():
     assert repr(LsiMonomial(2, (3, 2), (1, 0))) == "LsiMonomial(pi_pow=2, ks=(3, 2), ls=(1, 0))"
     assert repr(build_basis(2, "even")) == (
         "MonomialBasis(weight=2, parity='even', monomials=(LsiMonomial(pi_pow=2, ks=(), ls=()),))")
+    assert repr(MzvRelation(((Index((3,)), Fraction(-2)),))) == (
+        "MzvRelation(coefficients=((Index(parts=(3,)), Fraction(-2, 1)),))")
 
 
 @pytest.mark.parametrize("make, message", [
