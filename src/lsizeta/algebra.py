@@ -38,7 +38,7 @@ times over.  The kernels sum integer numerators over the lcm of all terms'
 denominators, a pair of expressions adding over the product of their two, and
 divide out one gcd: no ``Fraction`` is built.  Those appear only at the edges
 (the public constructor and ``terms``); the relation matrices read the
-integers through ``numerators`` and ``den``.  Given several pairs,
+integers and ``den`` as stored, unsorted.  Given several pairs,
 ``multiply`` sums all their products in that one accumulation.
 A product term is imaginary when exactly one of its two factor terms is, so
 ``multiply`` may keep one output bit: it then builds only the real or the
@@ -48,7 +48,8 @@ sign in the same loop.
 Their output monomials are interned and not validated again; ``LsiMonomial``
 validates those from outside, such as CLI literals.
 ``build_basis`` lists the canonical monomials of one weight and parity, the
-columns of the relation matrices.
+columns of the relation matrices, from the same intern table, so a column
+lookup finds a kernel's monomial by identity, without an ``__eq__`` call.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def _table(terms) -> Table:
 
 
 class _Interned(dict):
-    # kernel output monomials by (pi_pow, ks, ls), each validated once, when first built
+    # kernel output and basis monomials by (pi_pow, ks, ls), each validated once, when first built
     def __missing__(self, key) -> LsiMonomial:
         m = self[key] = LsiMonomial(*key)
         return m
@@ -513,7 +514,7 @@ def build_basis(w: int, parity: str) -> MonomialBasis:
     want = 1 if parity == "odd" else 0
     monos: list[LsiMonomial] = []
     if want == 0:
-        monos.append(LsiMonomial(w))
+        monos.append(_MONOMIALS[w, (), ()])
     for pi in range(w - 1):
         for ks in _compositions_min2(w - pi):
             # choose the log-factor count p_u in 1..k_u-1 at each position
@@ -524,7 +525,7 @@ def build_basis(w: int, parity: str) -> MonomialBasis:
                 if sum(ps) % 2 != want:
                     continue
                 ls = tuple(k - 1 - p for k, p in zip(ks, ps))
-                monos.append(LsiMonomial(pi, ks, ls))
+                monos.append(_MONOMIALS[pi, ks, ls])
     monos.sort(key=lambda m: m.sort_key())
     return MonomialBasis(w, parity, tuple(monos))
 

@@ -17,15 +17,16 @@ Index literals are written as indices print: comma-separated positive
 integers without blanks or signs (``1,3``), or ``phi``.  Monomial literals
 are ``k-list:l-list`` with an optional pi-power flag (``--pi 2``); their
 integers, like those of the integer arguments, are written as they print
-(``3``, ``-3``; not ``+3``, ``03`` or ``1_3``).  Output format is selected
-with ``--format {text,json,latex}``; results go to stdout.  ``--max-weight``
-(default 8, at most 12) caps the weight of ``relations``, ``lk`` and
-``verify`` only.  Weights of 8 and above are long-running: there
-``relations`` and ``lk`` report each expanded zeta row as
-``expanded i/n (weight w)`` on stderr, through the ``lsizeta`` logger.
-Errors go to stderr as one JSON line ``{"error": ...}``: exit 2 for a usage
-error or a bad setting, exit 1 when a command rejects its input or fails,
-or when stdout is closed before the result is written.
+(``3``, ``-3``; not ``+3``, ``03`` or ``1_3``).  Results go to stdout, in
+the ``--format {text,json,latex}`` of any command but ``verify``.
+``--max-weight`` (default 8, at most 12) caps the weight of ``relations``,
+``lk`` and ``verify`` alone; ``--precision`` (default 1e-8) is ``verify``'s.
+Weights of 8 and above are long-running: there ``relations`` and ``lk``
+report each expanded zeta row as ``expanded i/n (weight w)`` on stderr,
+through the ``lsizeta`` logger.  Errors go to stderr as one JSON line
+``{"error": ...}``: exit 2 for a usage error or an out-of-range option,
+exit 1 when a command rejects its input or fails, or when stdout is closed
+before the result is written.
 
 Each command imports only the modules it runs: ``dual`` and ``trunc`` need
 ``lsizeta.indices`` alone, ``shuffle``, ``reduce`` and ``basis`` add
@@ -58,10 +59,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class CliError(Exception):
-    pass
-
-
 def _int(text: str) -> int:
     """An integer literal written as the integer prints (``3``, ``-3``); not
     ``+3``, ``03``, ``1_3`` or ``3`` between blanks, which ``int`` also takes."""
@@ -74,6 +71,16 @@ def _int(text: str) -> int:
     return value
 
 
+def _ranged(parse, low, high, name: str):
+    """An argparse type: what ``parse`` reads, if it lies in [low, high]."""
+    def literal(text: str):
+        value = parse(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{name} must lie in [{low:g}, {high:g}]")
+        return value
+    return literal
+
+
 def _parse_monomial(text: str, pi_pow: int = 0):
     from .algebra import LsiMonomial
 
@@ -82,19 +89,12 @@ def _parse_monomial(text: str, pi_pow: int = 0):
         return LsiMonomial(pi_pow)
     parts = text.split(":")
     if len(parts) > 2:
-        raise CliError(f"malformed monomial literal {text!r}")
+        raise ValueError(f"malformed monomial literal {text!r}")
     try:
         ks, *ls = (tuple(map(_int, p.split(","))) for p in parts)
         return LsiMonomial(pi_pow, ks, ls[0] if ls else (0,) * len(ks))
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-
-
-def _parse_index(text: str) -> Index:
-    try:
-        return Index.parse(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _dumps(data) -> str:
@@ -141,11 +141,11 @@ def _progress(w: int):
 # subcommands
 
 def cmd_dual(args) -> str:
-    return _emit_index(dual(_parse_index(args.index)), args.format)
+    return _emit_index(dual(Index.parse(args.index)), args.format)
 
 
 def cmd_trunc(args) -> str:
-    return _emit_index(truncate(_parse_index(args.index), args.m), args.format)
+    return _emit_index(truncate(Index.parse(args.index), args.m), args.format)
 
 
 def cmd_shuffle(args) -> str:
@@ -170,13 +170,13 @@ def cmd_reduce(args) -> str:
 def cmd_li(args) -> str:
     from .polylog import li_expand
 
-    return _emit_expr(li_expand(_parse_index(args.index)), args.format)
+    return _emit_expr(li_expand(Index.parse(args.index)), args.format)
 
 
 def cmd_zeta(args) -> str:
     from .polylog import zeta_expr
 
-    return _emit_expr(zeta_expr(_parse_index(args.index)), args.format)
+    return _emit_expr(zeta_expr(Index.parse(args.index)), args.format)
 
 
 def cmd_basis(args) -> str:
@@ -193,7 +193,7 @@ def cmd_basis(args) -> str:
 
 def _check_cap(w: int, args) -> None:
     if w > args.max_weight:
-        raise CliError(f"weight {w} exceeds the configured cap {args.max_weight}")
+        raise ValueError(f"weight {w} exceeds the configured cap {args.max_weight}")
 
 
 def cmd_relations(args) -> str:
@@ -216,7 +216,7 @@ def cmd_lk(args) -> str:
 
     wmax = args.upto
     if wmax < 2:
-        raise CliError(f"weight {wmax} is below 2, the least weight with an l_w")
+        raise ValueError(f"weight {wmax} is below 2, the least weight with an l_w")
     _check_cap(wmax, args)
     rows = []
     for w in range(2, wmax + 1):
@@ -264,7 +264,7 @@ def cmd_verify(args) -> str:
         record(f"depth-one moment identity m={m}", check_ccs_identity(m))
     out = "\n".join(lines)
     if failures:
-        raise CliError(f"{failures} verification failure(s)\n{out}")
+        raise ValueError(f"{failures} verification failure(s)\n{out}")
     return out
 
 
@@ -277,19 +277,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common.add_argument("--max-weight", type=_int, default=8,
-                        help="weight cap for relations, lk and verify (2..12)")
-    common.add_argument("--precision", type=float, default=1e-8,
-                        help="numeric verification tolerance (1e-12..1e-4)")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    cap = _Parser(add_help=False)
+    cap.add_argument("--max-weight", type=_ranged(_int, 2, 12, "max weight"), default=8,
+                     help="the largest weight relations, lk and verify take (2..12)")
 
     p = _Parser(prog="lsi", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def sub_parser(name: str, help_text: str, parents=(fmt,)):
+        return sub.add_parser(name, help=help_text, parents=parents)
 
     s = sub_parser("dual", "dual index")
     s.add_argument("index")
@@ -326,16 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("parity", choices=("odd", "even"))
     s.set_defaults(func=cmd_basis)
 
-    s = sub_parser("relations", "independent zeta relations at a weight")
+    s = sub_parser("relations", "independent zeta relations at a weight", (fmt, cap))
     s.add_argument("weight", type=_int)
     s.set_defaults(func=cmd_relations)
 
-    s = sub_parser("lk", "rank bounds l_w for w = 2..W")
+    s = sub_parser("lk", "rank bounds l_w for w = 2..W", (fmt, cap))
     s.add_argument("upto", type=_int)
     s.set_defaults(func=cmd_lk)
 
-    s = sub_parser("verify", "numeric cross-check at a weight")
+    s = sub_parser("verify", "numeric cross-check at a weight", (cap,))
     s.add_argument("weight", type=_int)
+    s.add_argument("--precision", type=_ranged(float, 1e-12, 1e-4, "precision"), default=1e-8,
+                   help="the residual each verify check must stay below (1e-12..1e-4)")
     s.set_defaults(func=cmd_verify)
     return p
 
@@ -343,16 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not 2 <= args.max_weight <= 12:
-            raise ValueError("max weight must lie in [2, 12]")
-        if not 1e-12 <= args.precision <= 1e-4:
-            raise ValueError("precision must lie in [1e-12, 1e-4]")
     except ValueError as exc:
         print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     try:
         out = args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     try:

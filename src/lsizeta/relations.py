@@ -394,7 +394,7 @@ def _expr_row(e: LsiExpr, basis: MonomialBasis,
     """The real expression ``e`` over ``basis`` (``pos`` its positions): its
     integer numerators in basis order and its denominator."""
     row = [0] * len(basis)
-    for m, n in e.numerators():
+    for m, n in e._terms.items():
         if e.is_imag(m):
             raise ValueError(f"expression has a non-real coefficient at {m}")
         j = pos.get(m)

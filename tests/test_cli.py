@@ -173,6 +173,40 @@ class TestErrors:
         assert "upto" in capsys.readouterr().out
 
 
+# a quick valid call of each command, and the shared options it reads
+COMMANDS = {"dual": (["3,2"], {"--format"}), "trunc": (["2,3", "2"], {"--format"}),
+            "shuffle": (["1,3:0,1", "2:1"], {"--format"}),
+            "reduce": (["2,1,3:1,0,1"], {"--format"}), "li": (["1,3"], {"--format"}),
+            "zeta": (["3"], {"--format"}), "basis": (["2", "odd"], {"--format"}),
+            "relations": (["4"], {"--format", "--max-weight"}),
+            "lk": (["4"], {"--format", "--max-weight"}),
+            "verify": (["3"], {"--max-weight", "--precision"})}
+# a value the option accepts at every command above
+SHARED = {"--format": "json", "--max-weight": "4", "--precision": "1e-6"}
+OWN = {"shuffle": {"--pi", "--pi2"}, "reduce": {"--pi", "--at"}}
+
+
+@pytest.mark.parametrize("option", sorted(SHARED))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_option_scope(capsys, command, option):
+    # a command takes a shared option only if it reads it, in the parser and
+    # in its help, and refuses it otherwise as a usage error naming it
+    args, reads = COMMANDS[command]
+    code, out, err = run(capsys, command, *args, option, SHARED[option])
+    if option in reads:
+        assert code == 0 and out and err == ""
+        if option == "--format":
+            json.loads(out)
+    else:
+        assert (code, out) == (2, "")
+        assert option in json.loads(err)["error"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help"} | reads | OWN.get(command, set())
+
+
 SRC = str(Path(lsizeta.__file__).resolve().parents[1])
 
 
