@@ -20,7 +20,8 @@ integers, like those of the integer arguments, are written as they print
 (``3``, ``-3``; not ``+3``, ``03`` or ``1_3``).  Results go to stdout, in
 the ``--format {text,json,latex}`` of any command but ``verify``.
 ``--max-weight`` (default 8, at most 12) caps the weight of ``relations``,
-``lk`` and ``verify`` alone; ``--precision`` (default 1e-8) is ``verify``'s.
+``lk`` and ``verify`` alone; ``--precision`` (default 1e-8) is ``verify``'s,
+a float literal without underscores or blanks around it.
 Weights of 8 and above are long-running: there ``relations`` and ``lk``
 report each expanded zeta row as ``expanded i/n (weight w)`` on stderr,
 through the ``lsizeta`` logger.  Errors go to stderr as one JSON line
@@ -69,6 +70,14 @@ def _int(text: str) -> int:
     if str(value) != text:
         raise argparse.ArgumentTypeError(f"malformed integer literal: {text!r}")
     return value
+
+
+def _float(text: str) -> float:
+    """A float literal; not ``1_0e-7`` or ``1e-6`` between blanks, which
+    ``float`` also takes and the integer literals refuse."""
+    if "_" in text or text != text.strip():
+        raise argparse.ArgumentTypeError(f"malformed float literal: {text!r}")
+    return float(text)
 
 
 def _ranged(parse, low, high, name: str):
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub_parser("verify", "numeric cross-check at a weight", (cap,))
     s.add_argument("weight", type=_int)
-    s.add_argument("--precision", type=_ranged(float, 1e-12, 1e-4, "precision"), default=1e-8,
+    s.add_argument("--precision", type=_ranged(_float, 1e-12, 1e-4, "precision"), default=1e-8,
                    help="the residual each verify check must stay below (1e-12..1e-4)")
     s.set_defaults(func=cmd_verify)
     return p

@@ -20,9 +20,9 @@ The relation pipeline for a weight w:
    matrix by exact substitution.  Its rank, computed by ``compute_lk(w)`` as
    rank([re; rels]) - rank(rels), is the upper bound this method gives for
    the dimension of the weight-w zeta span.
-5. ``mzv_relations(w)``: rows of the reduced matrix that vanish entirely give
-   explicit Q-linear relations among the zeta values; coefficients are
-   returned cleared to coprime integers with a deterministic sign.
+5. ``mzv_relations(w)``: in one rref of [rels | 0; re | I], each row with its
+   pivot in the identity block I is an explicit Q-linear relation among the
+   zeta values, cleared to coprime integers with a deterministic sign.
 
 Rows are integer numerators over one positive denominator, normalized as an
 ``LsiExpr`` is, from the expansion to the echelon form; ``RationalMatrix.rows``
@@ -30,27 +30,26 @@ is their ``fractions.Fraction`` view.  Echelon forms are fully reduced with unit
 pivots.  Each zeta row built for a matrix logs ``expanded i/n (weight w)`` at
 INFO on ``lsizeta.relations``.
 
-One routine, ``_reduce``, row-reduces for ``rref``, ``rank`` and
-``_eliminate``, multi-modularly with a certificate (Cabay 1971; FLINT's
-``fmpz_mat_rref_mul``).  The row numerators A are held as int64
-limbs of 31 bits where an entry does not fit int64, and reduced modulo
-primes below 2^21, from one fixed list, as int64 residues: blocked
-Gauss-Jordan for all primes at once, whose matrix products run in float64 on
-sums of at most 2^11 products, below 2^53 and so exact.  The primes of
-largest rank, then lexicographically least pivots, are kept (this drops a
-prime dividing a pivot minor).  The echelon rows R, and for ``_eliminate``
-the reduced rows E, are lifted by a vectorized Garner CRT modulo M, the
-product of the kept primes, over one common denominator D that rational
-reconstruction (Wang 1981) grows until every entry of D*R is below W, about
-sqrt(M).  Besides the limbs, what outlives a step is int32 (a residue plane
-per kept prime, half as many digit planes), and the steps that widen to
-int64 or float64 take one prime or one block of rows at a time.  The
-certificate checks D*A = A[:, piv] (D*R), plus D*E on the rows of E, modulo
-further primes whose product exceeds max|A| (D + r W) + W, the most the
-sides can differ, so it holds over the integers: every row of A lies in the
-rowspace of R, whose r rows are independent, and A has rank at least r (an
-r x r minor is nonzero modulo a prime), so R is the reduced echelon form of
-A.  A failed lift or check adds primes; nothing is returned unchecked.
+One routine, ``_reduce``, row-reduces for ``rref`` and ``rank``,
+multi-modularly with a certificate (Cabay 1971; FLINT's
+``fmpz_mat_rref_mul``).  The row numerators A are held as int64 limbs of 31
+bits where an entry does not fit int64, and reduced modulo primes below
+2^21, from one fixed list, as int64 residues: blocked Gauss-Jordan for all
+primes at once, whose matrix products run in float64 on sums of at most
+2^11 products, below 2^53 and so exact.  The primes of largest rank, then
+lexicographically least pivots, are kept (this drops a prime dividing a
+pivot minor).  The echelon rows R are lifted by a vectorized Garner CRT
+modulo M, the product of the kept primes, over one common denominator D
+that rational reconstruction (Wang 1981) grows until every entry of D*R is
+below W, about sqrt(M).  Besides the limbs, what outlives a step is int32 (a
+residue plane per kept prime, half as many digit planes), and the steps
+that widen to int64 or float64 take one prime or one block of rows at a
+time.  The certificate checks D*A = A[:, piv] (D*R) modulo further primes
+whose product exceeds max|A| (D + r W) + W, the most the sides can differ,
+so it holds over the integers: every row of A lies in the rowspace of R,
+whose r rows are independent, and A has rank at least r (an r x r minor is
+nonzero modulo a prime), so R is the reduced echelon form of A.  A failed
+lift or check adds primes; nothing is returned unchecked.
 """
 
 from __future__ import annotations
@@ -155,15 +154,13 @@ def _steps(a: np.ndarray, ps: np.ndarray, free: np.ndarray):
     return a, free, keep, cols, np.array(rows, dtype=np.int64).reshape(len(cols), len(keep)).T
 
 
-def _gauss_jordan(a: np.ndarray, ps: np.ndarray, npivot: int):
-    """Gauss-Jordan elimination of residues ``a`` (P, m, n), pivots in the
-    first ``npivot`` rows: ``_steps`` on each panel of 64 columns, then the
-    later columns X by two products, X <- X - L Y and X_s <- Y = S^-1 X_s,
-    with L the panel's pivot columns, S and X_s their pivot rows.  Returns
-    the kept primes' pivot rows in pivot order and then their rows after
-    npivot, the kept primes and the pivot columns."""
-    free = np.zeros(a.shape[:2], dtype=bool)
-    free[:, :npivot] = True
+def _gauss_jordan(a: np.ndarray, ps: np.ndarray):
+    """Gauss-Jordan elimination of residues ``a`` (P, m, n): ``_steps`` on
+    each panel of 64 columns, then the later columns X by two products,
+    X <- X - L Y and X_s <- Y = S^-1 X_s, with L the panel's pivot columns,
+    S and X_s their pivot rows.  Returns the kept primes' pivot rows in pivot
+    order, the kept primes and the pivot columns."""
+    free = np.ones(a.shape[:2], dtype=bool)
     n, cols, rows = a.shape[2], [], np.zeros((len(ps), 0), dtype=np.int64)
     for c0 in range(0, n, 64):
         panel, free, keep, pc, pr = _steps(a[:, :, c0:c0 + 64].copy(), ps, free)
@@ -184,9 +181,9 @@ def _gauss_jordan(a: np.ndarray, ps: np.ndarray, npivot: int):
         a[:, :, c0:c0 + 64] = panel
         cols += [c0 + j for j in pc]
         rows = np.concatenate([rows, pr], axis=1)
-    z = np.empty((len(ps), rows.shape[1] + a.shape[1] - npivot, a.shape[2]), dtype=np.int32)
+    z = np.empty((len(ps), rows.shape[1], a.shape[2]), dtype=np.int32)
     for i in range(len(ps)):  # one prime at a time to bound the temporaries
-        z[i] = np.concatenate([a[i, rows[i]], a[i, npivot:]])
+        z[i] = a[i, rows[i]]
     return z, ps, cols
 
 
@@ -253,12 +250,11 @@ def _lift(zs: list[np.ndarray], ps: np.ndarray):
     return D, digits, neg, W[:h + 1]
 
 
-def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], npivot: int,
-               lifted, first: int) -> bool:
-    """Whether D*A = A[:, piv] (D*R), plus D*E on the rows after npivot, holds
-    modulo the primes from index ``first`` on whose product exceeds the most
-    the sides can differ, and so over Z.  It holds on the pivot columns by
-    construction (D*R is D*I there, D*E zero), so only the others are checked."""
+def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], lifted, first: int) -> bool:
+    """Whether D*A = A[:, piv] (D*R) holds modulo the primes from index
+    ``first`` on whose product exceeds the most the sides can differ, and so
+    over Z.  It holds on the pivot columns by construction (D*R is D*I
+    there), so only the others are checked."""
     D, v, neg, W = lifted
     K, r = len(v), len(piv)
     other = sorted(set(range(limbs[0].shape[1])) - set(piv))
@@ -279,18 +275,16 @@ def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], npivot: int,
         diff = aq[:, :, other] * wq[:, K + 1, None, None] - sum(
             _dot(aq[:, :, piv[j:j + _CHUNK]], dz[:, j:min(j + _CHUNK, r)]).astype(np.int64) % q3
             for j in range(0, r, _CHUNK))
-        diff[:, npivot:] -= dz[:, r:]
         if (diff % q3).any():
             return False
     return True
 
 
-def _reduce(nums: list[list[int]], dens: list[int], npivot: int, values: bool = True):
-    """Exact Gauss-Jordan elimination of the integer rows ``nums``, pivots in
-    the first ``npivot``, as the module docstring describes.  Returns the
-    pivot columns and, if ``values``, the echelon rows and then the later rows
-    reduced by them, as integer rows over their denominators: D for an echelon
-    row, D times the row's ``dens`` entry for a later one."""
+def _reduce(nums: list[list[int]], values: bool = True):
+    """Exact Gauss-Jordan elimination of the integer rows ``nums``, as the
+    module docstring describes.  Returns the pivot columns and, if
+    ``values``, the echelon rows as integer rows over their common
+    denominator D."""
     limbs = _limbs(nums, (len(nums), len(nums[0]) if nums else 0))
     # max|A| <= sum_j max|L_j| 2^(31 j), in Python ints: |-2^63| does not fit int64
     bound = sum(max(int(x.max()), -int(x.min())) << 31 * j
@@ -299,7 +293,7 @@ def _reduce(nums: list[list[int]], dens: list[int], npivot: int, values: bool = 
     while True:
         ps = _primes(used, used + max(4, len(kept) // 2))
         used += len(ps)
-        z, ps, p = _gauss_jordan(_residues(limbs, ps), ps, npivot)
+        z, ps, p = _gauss_jordan(_residues(limbs, ps), ps)
         # keep the primes of largest rank, then lexicographically least pivots
         if piv is None or (-len(p), p) < (-len(piv), piv):
             piv, kept, zs = p, [], []
@@ -307,7 +301,7 @@ def _reduce(nums: list[list[int]], dens: list[int], npivot: int, values: bool = 
             kept, zs = kept + ps.tolist(), zs + list(z)
         del z
         lifted = _lift(zs, np.array(kept))
-        if lifted is not None and _certified(limbs, bound, piv, npivot, lifted, used):
+        if lifted is not None and _certified(limbs, bound, piv, lifted, used):
             break
     if not values:
         return piv, None, None
@@ -321,7 +315,7 @@ def _reduce(nums: list[list[int]], dens: list[int], npivot: int, values: bool = 
             num += sum(v[k, i:i + 256] * np.int64(W[k] // W[g])
                        for k in range(g, min(g + 3, h))).astype(dt) * W[g]
         out += num.tolist()
-    return piv, out, [D] * len(piv) + [D * d for d in dens[npivot:]]
+    return piv, out, D
 
 
 class RationalMatrix:
@@ -361,16 +355,16 @@ class RationalMatrix:
 
     def rref(self) -> "RationalMatrix":
         """Reduced row echelon form: unit pivots, zeros above and below."""
-        pivots, nums, dens = _reduce(self.nums, self.dens, self.nrows)
+        pivots, nums, D = _reduce(self.nums)
         pad = self.nrows - len(pivots)
         return RationalMatrix(nums + [[0] * self.ncols for _ in range(pad)], [None] * self.nrows,
-                              self.col_labels, pivots, dens + [1] * pad)
+                              self.col_labels, pivots, [D] * len(pivots) + [1] * pad)
 
     @property
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(_reduce(self.nums, self.dens, self.nrows, values=False)[0])
+        return len(_reduce(self.nums, values=False)[0])
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:
@@ -497,19 +491,23 @@ def ls_relations_for(w: int) -> RationalMatrix:
 def _eliminate(matrix: RationalMatrix, relations: RationalMatrix) -> RationalMatrix:
     """Zero the relation pivot columns of ``matrix`` by exact substitution:
     each row less its pivot entries times the relations' echelon rows."""
-    pivots, nums, dens = _reduce(relations.nums + matrix.nums, relations.dens + matrix.dens,
-                                 relations.nrows)
-    return RationalMatrix(nums[len(pivots):], matrix.row_labels, matrix.col_labels,
-                          dens=dens[len(pivots):])
+    ech = relations.rref()
+    D = lcm(*ech.dens)
+    subs = [(c, [(j, n * (D // d)) for j, n in enumerate(row) if n])
+            for c, row, d in zip(ech.pivot_cols, ech.nums, ech.dens)]
+    nums = [[n * D for n in row] for row in matrix.nums]
+    for row, out in zip(matrix.nums, nums):
+        for c, terms in subs:
+            if f := row[c]:
+                for j, n in terms:
+                    out[j] -= f * n
+    return RationalMatrix(nums, matrix.row_labels, matrix.col_labels,
+                          dens=[den * D for den in matrix.dens])
 
 
 def reduce_mzv_matrix(w: int) -> RationalMatrix:
     """Real matrix of weight w after substituting all known monomial relations."""
-    base = re_matrix(w)
-    rels = ls_relations_for(w)
-    if not rels.nrows:
-        return base
-    return _eliminate(base, rels)
+    return _eliminate(re_matrix(w), ls_relations_for(w))
 
 
 def compute_lk(w: int) -> int:
@@ -522,10 +520,7 @@ def compute_lk(w: int) -> int:
 
 def reduce_real_expr(e: LsiExpr, w: int) -> LsiExpr:
     """Substitute the weight-w monomial relations into a real expression."""
-    mat = _matrix([e], [None], build_basis(w, _parity_name(w)))
-    rels = ls_relations_for(w)
-    if rels.nrows:
-        mat = _eliminate(mat, rels)
+    mat = _eliminate(_matrix([e], [None], build_basis(w, _parity_name(w))), ls_relations_for(w))
     return LsiExpr({m: n for m, n in zip(mat.col_labels, mat.nums[0]) if n}, 0, mat.dens[0])
 
 
@@ -561,24 +556,17 @@ def _normalize_relation(pairs: list[tuple[Index, int]]) -> MzvRelation:
 
 
 def mzv_relations(w: int) -> list[MzvRelation]:
-    """Independent Q-linear relations among the weight-w zeta representatives.
-
-    Row-reduce the relation-reduced real matrix augmented with an identity
-    block tracking the zeta combination of each row (each row's denominator
-    on the diagonal of its integers); rows whose monomial part vanishes
-    entirely are relations.
-    """
-    reduced = reduce_mzv_matrix(w)
-    n = reduced.nrows
-    nc = reduced.ncols
+    """Independent Q-linear relations among the weight-w zeta representatives:
+    the echelon rows of [rels | 0; re | I] whose pivot lies in the identity
+    block I (each real row's denominator on its diagonal), which vanish on
+    the monomials, so their zeta combinations lie in the span of the rels."""
+    base, rels = re_matrix(w), ls_relations_for(w)
+    n, nc = base.nrows, base.ncols
     aug = RationalMatrix(
-        [row + [den if i == j else 0 for j in range(n)]
-         for i, (row, den) in enumerate(zip(reduced.nums, reduced.dens))],
-        reduced.row_labels, reduced.col_labels + reduced.row_labels, dens=reduced.dens)
-    out = []
-    for row in aug.rref().nums:
-        if any(row[:nc]) or not any(row[nc:]):
-            continue
-        out.append(_normalize_relation([(reduced.row_labels[j], c)
-                                        for j, c in enumerate(row[nc:]) if c]))
-    return out
+        [row + [0] * n for row in rels.nums]
+        + [row + [den if i == j else 0 for j in range(n)]
+           for i, (row, den) in enumerate(zip(base.nums, base.dens))],
+        dens=rels.dens + base.dens)
+    ech = aug.rref()
+    return [_normalize_relation([(base.row_labels[j], c) for j, c in enumerate(row[nc:]) if c])
+            for row, pc in zip(ech.nums, ech.pivot_cols) if pc >= nc]

@@ -159,12 +159,15 @@ class TestErrors:
                                       ("basis", "0_4", "odd"), ("trunc", "2,3", "+1"),
                                       ("reduce", "2,1,3:1,0,1", "--at", "01"),
                                       ("shuffle", "2", "2", "--pi2", " 1"),
-                                      ("lk", "4", "--max-weight", "8\t"), ("verify", "\u0663")])
+                                      ("lk", "4", "--max-weight", "8\t"), ("verify", "\u0663"),
+                                      ("verify", "2", "--precision", "1_0e-7"),
+                                      ("verify", "2", "--precision", " 1e-6")])
     def test_integer_literal_not_as_printed(self, capsys, argv):
-        # int() would take each of these; no integer prints so
+        # int() or float() would take each of these; no number prints so
         code, out, err = run(capsys, *argv)
-        assert code in (1, 2) and out == ""
-        assert "malformed integer literal" in json.loads(err)["error"]
+        kind = "float" if "--precision" in argv else "integer"
+        assert code in ((2,) if kind == "float" else (1, 2)) and out == ""
+        assert f"malformed {kind} literal" in json.loads(err)["error"]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

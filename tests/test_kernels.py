@@ -50,6 +50,7 @@ from lsizeta.relations import (
     compute_lk,
     im_matrix,
     ls_relations_for,
+    mzv_relations,
     re_matrix,
     reduce_mzv_matrix,
 )
@@ -521,11 +522,22 @@ def assert_rref_matches(matrix):
 
 
 def mzv_augmented(w):
-    """The matrix ``mzv_relations(w)`` row-reduces: reduced rows beside an identity."""
+    """The earlier route to ``mzv_relations(w)``: the relation-reduced real
+    rows beside an identity."""
     reduced = reduce_mzv_matrix(w)
     n = reduced.nrows
     return RationalMatrix([row + [Fraction(int(i == j)) for j in range(n)]
                            for i, row in enumerate(reduced.rows)])
+
+
+def mzv_stacked(w):
+    """The matrix ``mzv_relations(w)`` row-reduces: the relation rows padded
+    with zeros over the real rows beside an identity."""
+    base, rels = re_matrix(w), ls_relations_for(w)
+    n = base.nrows
+    return RationalMatrix([row + [ZERO] * n for row in rels.rows]
+                          + [row + [Fraction(int(i == j)) for j in range(n)]
+                             for i, row in enumerate(base.rows)])
 
 
 @pytest.mark.parametrize("build,w", [
@@ -533,11 +545,27 @@ def mzv_augmented(w):
     *(pytest.param(re_matrix, w, id=f"re{w}") for w in range(2, 9)),
     *(pytest.param(ls_relations_for, w, id=f"rels{w}") for w in range(2, 9)),
     *(pytest.param(mzv_augmented, w, id=f"mzv{w}") for w in range(2, 8)),
+    *(pytest.param(mzv_stacked, w, id=f"mzv-stacked{w}") for w in range(2, 8)),
 ])
 def test_rref_matches_witness(build, w):
     assert_rref_matches(build(w))
     if build is im_matrix:
         assert ff_rref(build(w).rows) == ref_rref(build(w).rows)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_mzv_relations_match_the_reduced_route(w):
+    # the zeta parts of the echelon rows of mzv_augmented whose monomial part
+    # vanishes: the same space, so the same reduced echelon basis
+    reduced = reduce_mzv_matrix(w)
+    nc = reduced.ncols
+    want = []
+    for row in mzv_augmented(w).rref().rows:
+        if not any(row[:nc]) and any(row[nc:]):
+            d = lcm(*(x.denominator for x in row))
+            want.append(relations._normalize_relation(
+                [(k, int(x * d)) for k, x in zip(reduced.row_labels, row[nc:]) if x]))
+    assert mzv_relations(w) == want
 
 
 @pytest.mark.parametrize("w", range(2, 9))
@@ -673,10 +701,10 @@ def test_prime_without_the_pivot_is_dropped(monkeypatch):
     rows = [[Fraction(p0), ONE], [ZERO, Fraction(1, 3)]]
     eliminations = spy(monkeypatch, "_gauss_jordan")
     assert_rref_matches(RationalMatrix(rows))
-    for (_, primes, _), (_, kept, pivots) in eliminations:
+    for (_, primes), (_, kept, pivots) in eliminations:
         assert primes[0] != p0 or p0 not in kept.tolist()
         assert pivots == [0, 1]
-    assert any(primes[0] == p0 for (_, primes, _), _ in eliminations)
+    assert any(primes[0] == p0 for (_, primes), _ in eliminations)
 
 
 def test_corrupted_reconstruction_is_rejected(monkeypatch):

@@ -312,6 +312,11 @@ class TestMzvRelations:
         b = [str(r) for r in mzv_relations(5)]
         assert a == b
 
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_count_is_representatives_less_lk(self, w):
+        # the one-rref route against the two ranks of compute_lk
+        assert len(mzv_relations(w)) == len(re_matrix(w).row_labels) - compute_lk(w)
+
 
 def cr_rows(w: int, ks) -> RationalMatrix:
     """The rows of ``inject_cr_relation(k)`` for each k in ``ks``, times
