@@ -17,12 +17,13 @@ The relation pipeline for a weight w:
    by pi), plus the full imaginary matrices of weights w-1-2m lifted by
    pi^(1+2m).
 4. ``reduce_mzv_matrix(w)``: eliminate the relation pivots from the real
-   matrix by exact substitution.  Its rank, computed by ``compute_lk(w)`` as
-   rank([re; rels]) - rank(rels), is the upper bound this method gives for
-   the dimension of the weight-w zeta span.
-5. ``mzv_relations(w)``: in one rref of [rels | 0; re | I], each row with its
-   pivot in the identity block I is an explicit Q-linear relation among the
-   zeta values, cleared to coprime integers with a deterministic sign.
+   matrix by exact substitution, giving E.  Its rank, ``compute_lk(w)``, is
+   the upper bound this method gives for the dimension of the weight-w zeta
+   span.
+5. ``mzv_relations(w)``: the left kernel of E, {c : sum_j c_j E_j = 0}, read
+   from one rref of E's transposed numerators.  Each basis vector is an
+   explicit Q-linear relation among the zeta values, cleared to coprime
+   integers with a deterministic sign.
 
 Rows are integer numerators over one positive denominator, normalized as an
 ``LsiExpr`` is, from the expansion to the echelon form; ``RationalMatrix.rows``
@@ -30,8 +31,8 @@ is their ``fractions.Fraction`` view.  Echelon forms are fully reduced with unit
 pivots.  Each zeta row built for a matrix logs ``expanded i/n (weight w)`` at
 INFO on ``lsizeta.relations``.
 
-One routine, ``_reduce``, row-reduces for ``rref`` and ``rank``,
-multi-modularly with a certificate (Cabay 1971; FLINT's
+One routine, ``_reduce``, row-reduces for ``rref``, ``rank`` and
+``mzv_relations``, multi-modularly with a certificate (Cabay 1971; FLINT's
 ``fmpz_mat_rref_mul``).  The row numerators A are held as int64 limbs of 31
 bits where an entry does not fit int64, and reduced modulo primes below
 2^21, from one fixed list, as int64 residues: blocked Gauss-Jordan for all
@@ -280,11 +281,10 @@ def _certified(limbs: list[np.ndarray], bound: int, piv: list[int], lifted, firs
     return True
 
 
-def _reduce(nums: list[list[int]], values: bool = True):
+def _reduce(nums: list[list[int]]):
     """Exact Gauss-Jordan elimination of the integer rows ``nums``, as the
-    module docstring describes.  Returns the pivot columns and, if
-    ``values``, the echelon rows as integer rows over their common
-    denominator D."""
+    module docstring describes.  Returns the pivot columns, the echelon rows
+    as integer rows over their common denominator D, and D."""
     limbs = _limbs(nums, (len(nums), len(nums[0]) if nums else 0))
     # max|A| <= sum_j max|L_j| 2^(31 j), in Python ints: |-2^63| does not fit int64
     bound = sum(max(int(x.max()), -int(x.min())) << 31 * j
@@ -303,8 +303,6 @@ def _reduce(nums: list[list[int]], values: bool = True):
         lifted = _lift(zs, np.array(kept))
         if lifted is not None and _certified(limbs, bound, piv, lifted, used):
             break
-    if not values:
-        return piv, None, None
     D, v, neg, W = lifted
     del zs, lifted, limbs
     h, out = len(v), []
@@ -364,7 +362,7 @@ class RationalMatrix:
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(_reduce(self.nums, values=False)[0])
+        return len(_reduce(self.nums)[0])
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:
@@ -512,10 +510,8 @@ def reduce_mzv_matrix(w: int) -> RationalMatrix:
 
 def compute_lk(w: int) -> int:
     """Upper bound for the dimension of the weight-w zeta span: the rank of
-    ``reduce_mzv_matrix(w)``, which is zero on the relation pivots, so equals
-    rank([re; rels]) - rank(rels)."""
-    rels = ls_relations_for(w)
-    return re_matrix(w).stack(rels).rank - rels.rank
+    ``reduce_mzv_matrix(w)``."""
+    return reduce_mzv_matrix(w).rank
 
 
 def reduce_real_expr(e: LsiExpr, w: int) -> LsiExpr:
@@ -557,16 +553,18 @@ def _normalize_relation(pairs: list[tuple[Index, int]]) -> MzvRelation:
 
 def mzv_relations(w: int) -> list[MzvRelation]:
     """Independent Q-linear relations among the weight-w zeta representatives:
-    the echelon rows of [rels | 0; re | I] whose pivot lies in the identity
-    block I (each real row's denominator on its diagonal), which vanish on
-    the monomials, so their zeta combinations lie in the span of the rels."""
-    base, rels = re_matrix(w), ls_relations_for(w)
-    n, nc = base.nrows, base.ncols
-    aug = RationalMatrix(
-        [row + [0] * n for row in rels.nums]
-        + [row + [den if i == j else 0 for j in range(n)]
-           for i, (row, den) in enumerate(zip(base.nums, base.dens))],
-        dens=rels.dens + base.dens)
-    ech = aug.rref()
-    return [_normalize_relation([(base.row_labels[j], c) for j, c in enumerate(row[nc:]) if c])
-            for row, pc in zip(ech.nums, ech.pivot_cols) if pc >= nc]
+    the reduced echelon basis of the left kernel {c : sum_j c_j E_j = 0} of
+    E = ``reduce_mzv_matrix(w)``, since E_j is the real row j less a
+    combination of the monomial relations.  With x_j = c_j / dens_j this is
+    the null space of the transposed numerators (E's zero columns dropped),
+    its columns last row first, so that each free column f gives the basis
+    vector with leading entry c_f: x = D e_f - sum_i ech_i[f] e_(P_i) over
+    the echelon rows ech_i / D."""
+    mat = reduce_mzv_matrix(w)
+    labels, dens = mat.row_labels[::-1], mat.dens[::-1]
+    piv, ech, D = _reduce([col[::-1] for col in zip(*mat.nums) if any(col)])
+    out = []
+    for f in sorted(set(range(mat.nrows)) - set(piv), reverse=True):
+        x = {f: D} | {p: -row[f] for p, row in zip(piv, ech) if row[f]}
+        out.append(_normalize_relation([(labels[j], xj * dens[j]) for j, xj in x.items()]))
+    return out

@@ -553,19 +553,27 @@ def test_rref_matches_witness(build, w):
         assert ff_rref(build(w).rows) == ref_rref(build(w).rows)
 
 
+def zeta_parts(ech, labels, nc):
+    """The relations read from the echelon rows of a matrix [M | I] whose
+    pivot lies in the identity block, so whose monomial part M vanishes."""
+    out = []
+    for row, pc in zip(ech.rows, ech.pivot_cols):
+        if pc >= nc:
+            d = lcm(*(x.denominator for x in row))
+            out.append(relations._normalize_relation(
+                [(k, int(x * d)) for k, x in zip(labels, row[nc:]) if x]))
+    return out
+
+
 @pytest.mark.parametrize("w", range(2, 9))
 def test_mzv_relations_match_the_reduced_route(w):
-    # the zeta parts of the echelon rows of mzv_augmented whose monomial part
-    # vanishes: the same space, so the same reduced echelon basis
-    reduced = reduce_mzv_matrix(w)
-    nc = reduced.ncols
-    want = []
-    for row in mzv_augmented(w).rref().rows:
-        if not any(row[:nc]) and any(row[nc:]):
-            d = lcm(*(x.denominator for x in row))
-            want.append(relations._normalize_relation(
-                [(k, int(x * d)) for k, x in zip(reduced.row_labels, row[nc:]) if x]))
-    assert mzv_relations(w) == want
+    # the left kernel of reduce_mzv_matrix(w) against the two earlier routes:
+    # the relation-reduced rows beside an identity, and the relation rows over
+    # the real rows beside an identity; the same space, so the same basis
+    base = re_matrix(w)
+    got = mzv_relations(w)
+    assert got == zeta_parts(mzv_augmented(w).rref(), base.row_labels, base.ncols)
+    assert got == zeta_parts(mzv_stacked(w).rref(), base.row_labels, base.ncols)
 
 
 @pytest.mark.parametrize("w", range(2, 9))

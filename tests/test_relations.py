@@ -257,7 +257,9 @@ class TestReduceAndRank:
 
     @pytest.mark.parametrize("w", range(2, 10))
     def test_lk_from_ranks_matches_substitution(self, w):
-        assert compute_lk(w) == reduce_mzv_matrix(w).rank
+        # the rank of the reduced matrix against the earlier rank difference
+        rels = ls_relations_for(w)
+        assert compute_lk(w) == re_matrix(w).stack(rels).rank - rels.rank
 
     def test_reduce_real_expr_dual_of_weight4(self):
         # zeta(1,1,2) is not a representative; reduce its expression directly
@@ -314,8 +316,20 @@ class TestMzvRelations:
 
     @pytest.mark.parametrize("w", range(2, 10))
     def test_count_is_representatives_less_lk(self, w):
-        # the one-rref route against the two ranks of compute_lk
+        # the left kernel's dimension against the rank of the same matrix
         assert len(mzv_relations(w)) == len(re_matrix(w).row_labels) - compute_lk(w)
+
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_relations_lie_in_the_monomial_relation_span(self, w):
+        # the defining property, exactly: sum_j c_j re_j is a combination of
+        # the monomial relation rows, so stacking it on them keeps their rank
+        base, rels = re_matrix(w), ls_relations_for(w)
+        re_rows, rank = dict(zip(base.row_labels, base.rows)), rels.rank
+        found = mzv_relations(w)
+        assert found or w < 4
+        for rel in found:
+            row = [sum(c * re_rows[k][i] for k, c in rel.coefficients) for i in range(base.ncols)]
+            assert rels.stack(RationalMatrix([row])).rank == rank, rel
 
 
 def cr_rows(w: int, ks) -> RationalMatrix:
