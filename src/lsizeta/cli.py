@@ -26,8 +26,8 @@ Weights of 8 and above are long-running: there ``relations`` and ``lk``
 report each expanded zeta row as ``expanded i/n (weight w)`` on stderr,
 through the ``lsizeta`` logger.  Errors go to stderr as one JSON line
 ``{"error": ...}``: exit 2 for a usage error or an out-of-range option,
-exit 1 when a command rejects its input or fails, or when stdout is closed
-before the result is written.
+exit 1 when a command rejects its input or fails (``verify`` prints its check
+lines first), or when stdout is closed before the result is written.
 
 Each command imports only the modules it runs: ``dual`` and ``trunc`` need
 ``lsizeta.indices`` alone, ``shuffle``, ``reduce`` and ``basis`` add
@@ -240,7 +240,7 @@ def cmd_lk(args) -> str:
     return "\n".join(f"{w} {v}" for w, v in rows)
 
 
-def cmd_verify(args) -> str:
+def cmd_verify(args) -> tuple[str, str | None]:
     from .algebra import LsiExpr
     from .oracle import check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
     from .polylog import zeta_expr
@@ -271,10 +271,7 @@ def cmd_verify(args) -> str:
                abs(eval_mzv(Index((2 * k,))) - euler_even_zeta(k)))
     for m in (0, 1):
         record(f"depth-one moment identity m={m}", check_ccs_identity(m))
-    out = "\n".join(lines)
-    if failures:
-        raise ValueError(f"{failures} verification failure(s)\n{out}")
-    return out
+    return "\n".join(lines), f"{failures} verification failure(s)" if failures else None
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +358,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(_dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    out, error = out if isinstance(out, tuple) else (out, None)
     try:
         print(out, flush=True)
     except BrokenPipeError as exc:
         # the reader has gone (``lsi basis 9 odd | head -2``): send what is
         # left to devnull so that the exit-time flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(_dumps({"error": f"stdout closed: {exc}"}), file=sys.stderr)
+        error = f"stdout closed: {exc}"
+    if error:
+        print(_dumps({"error": error}), file=sys.stderr)
         return 1
     return 0
 

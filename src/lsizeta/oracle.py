@@ -11,10 +11,14 @@ and represents each integrand level by piecewise Chebyshev interpolants on a
 fixed panel decomposition.  The integral of the interpolant from each node to
 its panel's end is linear in the node values: one precomputed 48x48 kernel,
 so a matrix product and a cumulative sum across panels give the running inner
-integral at every node, and levels simply compose.  With degree-48 panels of
-width at most 8 the per-level truncation error sits far below 1e-12.  Nested
-integrals are memoized as floats per exponent pair vector (ks, ls); node
-arrays are never kept.
+integral at every node, and levels simply compose.  The kernel comes from
+closed forms: T_j(u_i) = cos(j theta_i) at the Lobatto points u_i = cos(theta_i)
+and the antiderivatives F_0 = T_1, F_1 = T_2/4 and
+F_j = T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1)), so that it is (F(1) - F(u)) T^-1,
+the Chebyshev integration behind Clenshaw-Curtis.  With degree-48 panels of
+width at most 8 the per-level truncation error sits far below 1e-12.  Node
+arrays are memoized per prefix of the exponent pair vector (ks, ls), so
+integrals that share their first levels compute them once.
 
 Zeta values of depth d are computed outside-in: with R_{d+1} = 1 define
 
@@ -24,7 +28,8 @@ so the zeta value is R_1(0).  Each level sums R_u(j) exactly for j <= n, the
 cutoff, and adds the tail beyond n from its asymptotic expansion in 1/j: if
 R_{u+1}(i) ~ sum_m c_m i^(-m), then R_u(j) ~ sum_m c_m S_{m+k_u}(j), with
 S_p(j) = sum_{i > j} i^(-p) expanded by Euler-Maclaurin.  The coefficients
-pass from level to level; at n = 64 the absolute error is about 1e-15.
+pass from level to level; at n = 64 the absolute error is about 1e-15.  Each
+level is memoized per suffix of the index, so indices ending alike share it.
 """
 
 from __future__ import annotations
@@ -58,17 +63,15 @@ _N_CHEB = 48  # points per panel
 def _panel_machine():
     edges = np.concatenate([[-math.log(SIGMA), 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0],
                             np.arange(8.0, 129.0, 8.0)])
-    n = _N_CHEB
-    cheb = np.polynomial.chebyshev
-    # Chebyshev points of the second kind, ascending in [-1, 1]
+    n, j = _N_CHEB, np.arange(2, _N_CHEB)
+    # Chebyshev points of the second kind, ascending in [-1, 1], T_j and F_j there
     u = -np.cos(np.pi * np.arange(n) / (n - 1))
-    to_coeff = np.linalg.inv(cheb.chebvander(u, n - 1))        # coeffs <- values
-    # node values -> antiderivative coefficients -> T_j(1) - T_j(u_i): the
-    # integral from each node to the right end of its panel, on [-1, 1]
-    anti = cheb.chebint(np.eye(n), axis=0)                      # (n+1, n)
-    kernel = (cheb.chebval(1.0, anti) - cheb.chebvander(u, n) @ anti) @ to_coeff
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
+    cheb = np.cos(np.outer(np.arccos(u), np.arange(n + 1)))    # T_j(u_i), j <= n
+    anti = np.column_stack([cheb[:, 1], cheb[:, 2] / 4,
+                            cheb[:, 3:] / (2 * j + 2) - cheb[:, 1:-2] / (2 * j - 2)])
+    # F(1) - F(u_i): from node i to the right end u_{n-1} = 1 of its panel
+    kernel = (anti[-1] - anti) @ np.linalg.inv(cheb[:, :n])
+    a, b = edges[:-1, None], edges[1:, None]
     x = a + (b - a) * (u[None, :] + 1.0) / 2.0                  # (P, n) nodes
     t = np.exp(-x)
     with np.errstate(divide="ignore"):
@@ -81,8 +84,7 @@ def _suffix_integrals(h_vals: np.ndarray):
 
     Input: values of h on the (P, n) node grid (as a function of x).  Output:
     (F, total) with F[p, i] = integral of h from x[p, i] to the right end of
-    the last panel, and total the full integral.
-    """
+    the last panel, and total the full integral."""
     _, _, kernel_t, half_width = _panel_machine()
     within = (h_vals @ kernel_t) * half_width                   # node -> panel end
     panel_totals = within[:, 0]
@@ -91,26 +93,19 @@ def _suffix_integrals(h_vals: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _nested_ls_integral(ks, ls) -> float:
-    """Integral over the ordered simplex of prod t_u^{l_u} A(t_u)^{k_u-1-l_u}."""
+def _nested_ls_integral(ks, ls):
+    """(F, total): the integral of prod t_u^{l_u} A(t_u)^{k_u-1-l_u} over
+    0 < t_1 < ... < t_d < s, at each node s (F) and at s = pi/3 (total)."""
     t, a_vals, *_ = _panel_machine()
-    inner = np.ones_like(t)
-    total = 1.0
-    for k, l in zip(ks, ls):
-        p = k - 1 - l
-        g = inner
-        if l:
-            g = g * t**l
-        if p:
-            g = g * a_vals**p
-        inner, total = _suffix_integrals(g * t)                 # dt = -t dx
-    return total
+    if not ks:
+        return np.ones_like(t), 1.0
+    g = _nested_ls_integral(ks[:-1], ls[:-1])[0] * t**ls[-1] * a_vals**(ks[-1] - 1 - ls[-1])
+    return _suffix_integrals(g * t)                             # dt = -t dx
 
 
 def eval_ls(m: LsiMonomial) -> float:
     """Numerical value of a log-sine monomial at pi/3."""
-    value = _nested_ls_integral(m.ks, m.ls) if m.depth else 1.0
-    return (-1.0) ** m.depth * value * math.pi ** m.pi_pow
+    return (-1.0) ** m.depth * _nested_ls_integral(m.ks, m.ls)[1] * math.pi ** m.pi_pow
 
 
 def eval_expr(e: LsiExpr) -> complex:
@@ -125,8 +120,7 @@ def eval_expr(e: LsiExpr) -> complex:
 def integrate_to_sigma(f) -> float:
     """Integral of a vectorized f(t) over (0, pi/3); f may blow up like log t."""
     t = _panel_machine()[0]
-    _, total = _suffix_integrals(f(t) * t)
-    return total
+    return _suffix_integrals(f(t) * t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +147,27 @@ def _tail_table() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _series(parts):
+    """(R, c): R_1(j) for j = 0..n of the nested series over ``parts``, and
+    the coefficients c_q of its expansion R_1(j) ~ sum_q c_q j^(-q)."""
+    if not parts:
+        return np.ones(_CUTOFF + 1), np.eye(_TAIL_ORDER + 1)[0]
+    r_next, coeffs = _series(parts[1:])
+    inv = 1.0 / np.arange(1, _CUTOFF + 1, dtype=np.float64)
+    # i^(-k_1) R_2(i) ~ sum_q coeffs[q] i^(-q-k_1), summed term by term
+    rows = _tail_table()[parts[0]:]
+    coeffs = coeffs[:len(rows)] @ rows
+    term = inv**parts[0] * r_next[1:]
+    tail = coeffs @ inv[-1] ** np.arange(_TAIL_ORDER + 1)
+    return np.concatenate([np.cumsum(term[::-1])[::-1], [0.0]]) + tail, coeffs
+
+
 def eval_mzv(k: Index) -> float:
     """Nested zeta series of an admissible index, absolute error about 1e-15."""
     if not k.admissible:
         raise ValueError(f"zeta series requires an admissible index, got {k}")
-    inv = 1.0 / np.arange(1, _CUTOFF + 1, dtype=np.float64)
-    inv_n = inv[-1] ** np.arange(_TAIL_ORDER + 1)
-    r_next = np.ones(_CUTOFF + 1)            # R_{u+1}(j) for j = 0..n
-    coeffs = np.zeros(_TAIL_ORDER + 1)       # R_{u+1}(j) ~ sum_q coeffs[q] j^(-q)
-    coeffs[0] = 1.0
-    for ku in reversed(k.parts):
-        # i^(-ku) R_{u+1}(i) ~ sum_q coeffs[q] i^(-q-ku), summed term by term
-        rows = _tail_table()[ku:]
-        coeffs = coeffs[:len(rows)] @ rows
-        term = inv**ku * r_next[1:]
-        r_next = np.concatenate([np.cumsum(term[::-1])[::-1], [0.0]]) + coeffs @ inv_n
-    return float(r_next[0])
+    return float(_series(k.parts)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,8 @@ class RationalMatrix:
     def rank(self) -> int:
         if self.pivot_cols:
             return len(self.pivot_cols)
-        return len(_reduce(self.nums)[0])
+        # the column rank: the transpose's nonzero rows, fewer where columns vanish
+        return len(_reduce([col for col in zip(*self.nums) if any(col)])[0])
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if other.ncols != self.ncols:

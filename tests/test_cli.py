@@ -334,6 +334,46 @@ def test_closed_stdout_is_a_json_error():
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
 
+# zeta(1,2) one off in the series, so that its first check alone fails
+FAIL_ZETA12 = """
+import sys
+from lsizeta import cli, oracle
+series = oracle.eval_mzv
+oracle.eval_mzv = lambda k: series(k) + (k.parts == (1, 2))
+sys.exit(cli.main(["verify", "3"]))
+"""
+
+
+class TestFailingVerify:
+    def test_report_on_stdout_and_one_json_error(self, capsys, monkeypatch):
+        code, passing, err = run(capsys, "verify", "3")
+        assert (code, err) == (0, "")
+        from lsizeta import oracle
+        series = oracle.eval_mzv
+        monkeypatch.setattr(oracle, "eval_mzv", lambda k: series(k) + (k.parts == (1, 2)))
+        code, out, err = run(capsys, "verify", "3")
+        assert code == 1 and json.loads(err) == {"error": "1 verification failure(s)"}
+        assert err.count("\n") == 1
+        want = [line.replace("PASS", "FAIL") if line.startswith("PASS zeta(1,2) symbolic")
+                else line for line in passing.splitlines()]
+        assert [re.sub(r"residual .*", "", line) for line in out.splitlines()] == \
+            [re.sub(r"residual .*", "", line) for line in want]
+
+    def test_closed_stdout_still_ends_in_the_json_error(self):
+        r, w = os.pipe()
+        os.close(r)
+        full = {k: v for k, v in os.environ.items() if k != "LSI_CACHE_DIR"}
+        try:
+            done = subprocess.run([sys.executable, "-c", FAIL_ZETA12], stdout=w,
+                                  stderr=subprocess.PIPE, env={**full, "PYTHONPATH": SRC},
+                                  timeout=120)
+        finally:
+            os.close(w)
+        err = done.stderr.decode()
+        assert done.returncode == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "stdout closed" in json.loads(err)["error"]
+
+
 class TestProgress:
     def test_lk8_reports_each_row_and_lk7_stays_quiet(self, capsys):
         code, out, err = run(capsys, "lk", "8")

@@ -622,6 +622,14 @@ def test_rref_matches_witness_on_random_matrices(rows):
     assert_normal_form(matrix.stack(matrix))
 
 
+@pytest.mark.parametrize("rows", [ZERO3x4, [], [[], []], [[0, 2, 0], [0, -4, 0], [0, 0, 0]]],
+                         ids=["all-zero", "empty", "no-columns", "zero-columns"])
+def test_rank_is_the_rref_pivot_count(rows):
+    # rank row-reduces the transpose's nonzero rows, rref the matrix itself
+    matrix = RationalMatrix(rows)
+    assert matrix.rank == len(matrix.rref().pivot_cols) == int(any(map(any, rows)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 7).flatmap(lambda nc: st.tuples(rational_matrices(nc),
                                                       rational_matrices(nc))))

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -119,14 +120,17 @@ class TestEvalMzv:
         # default cutoff the terms past it change no float through weight 9
         ks = [k for w in range(2, 10) for k in enumerate_admissible(w)]
         oracle._tail_table.cache_clear()
+        oracle._series.cache_clear()
         got = [eval_mzv(k) for k in ks]
         monkeypatch.setattr(oracle, "_TAIL_ORDER", 40)
         oracle._tail_table.cache_clear()
+        oracle._series.cache_clear()
         try:
             assert oracle._tail_table().shape == (42, 41)
             assert [eval_mzv(k) for k in ks] == got
         finally:
             oracle._tail_table.cache_clear()
+            oracle._series.cache_clear()
 
 
 def _ref_tail_beyond(term_quarter, term_half, term_last, n):
@@ -182,7 +186,11 @@ class TestMzvIdentities:
 
     @pytest.fixture(autouse=True)
     def _cutoff(self, cutoff, monkeypatch):
+        # the series memo holds levels summed at the cutoff of their time
+        oracle._series.cache_clear()
         monkeypatch.setattr(oracle, "_CUTOFF", cutoff)
+        yield
+        oracle._series.cache_clear()
 
     def test_duality(self):
         for w in range(2, 11):
@@ -356,6 +364,17 @@ class TestCcsIdentity:
         assert abs(lhs - rhs) > 1e-2
 
 
+def _kernel_from_numpy_polynomial():
+    """The panel kernel as numpy.polynomial built it: node values to Chebyshev
+    coefficients, chebint, then chebval at 1 less the values at the nodes."""
+    cheb = np.polynomial.chebyshev
+    n = oracle._N_CHEB
+    u = -np.cos(np.pi * np.arange(n) / (n - 1))
+    anti = cheb.chebint(np.eye(n), axis=0)
+    to_coeff = np.linalg.inv(cheb.chebvander(u, n - 1))
+    return (cheb.chebval(1.0, anti) - cheb.chebvander(u, n) @ anti) @ to_coeff
+
+
 def _suffix_integrals_per_call(h_vals):
     """The formulation the precomputed panel kernel replaced: Chebyshev
     coefficients, chebint and chebval rebuilt on every call."""
@@ -380,6 +399,11 @@ def _canonical_shapes(max_weight=7, max_depth=3):
 
 
 class TestPanelKernel:
+    def test_closed_form_matches_numpy_polynomial(self):
+        want = _kernel_from_numpy_polynomial()
+        assert 0.07 < np.max(np.abs(want)) < 0.08
+        assert np.max(np.abs(oracle._panel_machine()[2].T - want)) <= 1e-15
+
     @pytest.mark.parametrize("integrand", ["smooth", "log_singular"])
     def test_matches_per_call_formulation(self, integrand):
         t, a_vals, *_ = oracle._panel_machine()
@@ -394,19 +418,23 @@ class TestPanelKernel:
         shapes = _canonical_shapes()
         got = {s: eval_ls(mono(*s)) for s in shapes}
         monkeypatch.setattr(oracle, "_suffix_integrals", _suffix_integrals_per_call)
+        oracle._nested_ls_integral.cache_clear()  # every level again, per call
         for ks, ls in shapes:
-            want = (-1.0) ** len(ks) * oracle._nested_ls_integral.__wrapped__(ks, ls)
+            want = (-1.0) ** len(ks) * oracle._nested_ls_integral(ks, ls)[1]
             assert got[ks, ls] == pytest.approx(want, rel=1e-12, abs=1e-13), (ks, ls)
 
 
 @pytest.fixture
 def warm_quadrature_memo():
     eval_ls(mono((3, 2), (0, 0)))
+    eval_mzv(Index((2, 3)))
     assert oracle._nested_ls_integral.cache_info().currsize > 0
+    assert oracle._series.cache_info().currsize > 0
 
 
 def test_fresh_caches_clears_quadrature_memo(warm_quadrature_memo, fresh_caches):
     assert oracle._nested_ls_integral.cache_info().currsize == 0
+    assert oracle._series.cache_info().currsize == 0
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -427,3 +455,37 @@ class TestQuadratureMemo:
         assert len(calls) == 2  # one nested integral of depth 2
         assert eval_expr(e) == first
         assert len(calls) == 2
+
+    def test_each_prefix_integrates_once(self, monkeypatch):
+        calls = []
+        kernel = oracle._suffix_integrals
+
+        def counted(h_vals):
+            calls.append(1)
+            return kernel(h_vals)
+
+        monkeypatch.setattr(oracle, "_suffix_integrals", counted)
+        shapes = _canonical_shapes(max_weight=7, max_depth=7)
+        for ks, ls in shapes:
+            eval_ls(mono(ks, ls))
+        prefixes = {(ks[:i], ls[:i]) for ks, ls in shapes for i in range(1, len(ks) + 1)}
+        assert len(calls) == len(prefixes) < sum(len(ks) for ks, _ in shapes)
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_each_series_suffix_is_summed_once(monkeypatch):
+    summed = []
+    level = oracle._series.__wrapped__
+
+    def counted(parts):
+        summed.append(parts)
+        return level(parts)
+
+    # the recursion reads the module's _series, so it goes through the count
+    monkeypatch.setattr(oracle, "_series", lru_cache(maxsize=None)(counted))
+    ks = [k for w in range(2, 8) for k in enumerate_admissible(w)]
+    got = [eval_mzv(k) for k in ks]
+    suffixes = {k.parts[i:] for k in ks for i in range(k.depth + 1)}
+    assert sorted(summed) == sorted(suffixes) and len(suffixes) < sum(k.depth + 1 for k in ks)
+    oracle._series.cache_clear()
+    assert [eval_mzv(k) for k in ks] == got

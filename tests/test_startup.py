@@ -113,6 +113,13 @@ def test_each_light_command_loads_only_what_it_runs(cache, argv, tmp_path):
     assert files(tmp_path) == before  # LSI_CACHE_DIR is ignored
 
 
+def test_verify_does_not_load_numpy_polynomial():
+    # the oracle's panel kernel comes from closed forms
+    loaded = set(json.loads(fresh(LOADED_BY, "verify", "4")))
+    assert "lsizeta.oracle" in loaded and "numpy" in loaded
+    assert not {m for m in loaded if m.startswith("numpy.polynomial")}
+
+
 def test_import_does_not_load_numpy_and_submodules_still_import():
     out = fresh("import sys, lsizeta\n"
                 "print('numpy' in sys.modules, [m for m in sys.modules if 'lsizeta.' in m])\n"
