@@ -21,7 +21,8 @@ integers, like those of the integer arguments, are written as they print
 the ``--format {text,json,latex}`` of any command but ``verify``.
 ``--max-weight`` (default 8, at most 12) caps the weight of ``relations``,
 ``lk`` and ``verify`` alone; ``--precision`` (default 1e-8) is ``verify``'s,
-a float literal without underscores or blanks around it.
+a float literal without underscores or blanks around it.  ``verify`` pairs
+each index with its dual, expanding one and conjugating that for the other.
 Weights of 8 and above are long-running: there ``relations`` and ``lk``
 report each expanded zeta row as ``expanded i/n (weight w)`` on stderr,
 through the ``lsizeta`` logger.  Errors go to stderr as one JSON line
@@ -241,7 +242,7 @@ def cmd_lk(args) -> str:
 
 
 def cmd_verify(args) -> tuple[str, str | None]:
-    from .algebra import LsiExpr
+    from .algebra import LsiExpr, conjugate
     from .oracle import check_ccs_identity, eval_expr, eval_mzv, euler_even_zeta
     from .polylog import zeta_expr
     from .relations import ls_relations_for
@@ -257,8 +258,10 @@ def cmd_verify(args) -> tuple[str, str | None]:
         failures += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: residual {residual:.3e}")
 
+    exprs = {}  # each expression held until its dual's turn takes it
     for k in enumerate_admissible(w):
-        e = zeta_expr(k)
+        kd = dual(k)  # zeta_expr(kd) is conjugate(zeta_expr(k))
+        e = conjugate(exprs.pop(kd)) if kd in exprs else exprs.setdefault(k, zeta_expr(k))
         val = eval_expr(e)
         record(f"zeta({k}) symbolic vs series", abs(val.real - eval_mzv(k)))
         record(f"zeta({k}) imaginary part", abs(val.imag))

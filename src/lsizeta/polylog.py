@@ -36,13 +36,14 @@ all w + 1 products are summed in one integer accumulation.  The conjugation
 is a sign in the product loop, not a conjugated copy of each truncation.  The
 relation matrices read one half of an expansion, so ``zeta_expr`` builds the
 real or the imaginary half alone when asked (``multiply`` skips the pairs of
-the other); a full expression is one pass over all the pairs, split into its
-halves.  Both memoize, the zeta expansions in one memo by index and half: a
-weight class of zeta expressions reuses the same truncations, and the zeta
-expression of the dual index is the conjugate, the same real half and the
-imaginary half negated (see ``zeta_expr``).
-The memos last as long as the process: an expansion is cheaper to compute
-than to read back from a file, so none is read from disk.
+the other); a full expression is one pass over all the pairs.  The zeta
+expression of the dual index is the conjugate: the same real half and the
+imaginary half negated.
+``li_expand``'s memo, with the path of inner-factor states, is the only one:
+a weight class of zeta expressions reuses the same truncations, and
+``zeta_expr`` is a pure function of its arguments.  The memo lasts as long
+as the process: an expansion is cheaper to compute than to read back from a
+file, so none is read from disk.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from functools import cache
 from math import factorial, lcm
 
 from . import algebra
-from .algebra import LsiExpr, imag_part, multiply, real_part
+from .algebra import LsiExpr, multiply
 from .indices import Index, dual, truncations
 
 _LI_CACHE: dict[Index, LsiExpr] = {}
-_ZETA_CACHE: dict[tuple[Index, int], LsiExpr] = {}  # by index and half
 _PREFIX: list[tuple[int, int, dict]] = []  # (part, den, states) per inner factor
 
 
@@ -159,36 +159,18 @@ def zeta_expr(k: Index, half: int | None = None) -> LsiExpr:
     expression of the zeta value and its imaginary part vanishes numerically,
     yielding a relation among log-sine monomials.  ``half`` = 0 or 1 gives
     only the real or the imaginary half, as ``real_part`` or ``imag_part``
-    returns it.  The full expression is built in one pass and memoized as
-    its two halves; a later call joins them.
+    returns it.
 
     It is sum_m Li_{k_m} * conj Li_{kd_(w-m)} over the truncations of k and
-    its dual kd, so zeta_expr(kd) == conjugate(zeta_expr(k)) exactly; a memo
-    miss whose dual's half is memoized takes that half, negated if imaginary.
+    its dual kd, so zeta_expr(kd) == conjugate(zeta_expr(k)) exactly.
     """
     if not k.admissible:
         raise ValueError(f"zeta expression requires an admissible index, got {k}")
-    kd, halves = dual(k), (0, 1) if half is None else (half,)
-    for h in halves:
-        if (k, h) not in _ZETA_CACHE and (e := _ZETA_CACHE.get((kd, h))) is not None:
-            _ZETA_CACHE[k, h] = -e if h else e
-    missing = [h for h in halves if (k, h) not in _ZETA_CACHE]
-    if missing:
-        # k's truncations, then kd's: each run shares its inner prefix
-        lis = [li_expand(t) for t in truncations(k)]
-        duals = [li_expand(t) for t in truncations(kd)]
-        first, *rest = zip(lis, reversed(duals))
-        e = multiply(*first, *rest, half=missing[0] if len(missing) == 1 else None, conj=True)
-        if len(missing) == 2:
-            _ZETA_CACHE[k, 0], _ZETA_CACHE[k, 1] = real_part(e), imag_part(e)
-            return e
-        _ZETA_CACHE[k, missing[0]] = e
-    if half is not None:
-        return _ZETA_CACHE[k, half]
-    re, im = _ZETA_CACHE[k, 0], _ZETA_CACHE[k, 1]
-    den = lcm(re.den, im.den)
-    return LsiExpr({m: n * (den // x.den) for x in (re, im) for m, n in x._terms.items()},
-                   0, den)
+    # k's truncations, then kd's: each run shares its inner prefix
+    lis = [li_expand(t) for t in truncations(k)]
+    duals = [li_expand(t) for t in truncations(dual(k))]
+    first, *rest = zip(lis, reversed(duals))
+    return multiply(*first, *rest, half=half, conj=True)
 
 
 def mgl_value(a: int, b: int) -> Fraction:
@@ -223,8 +205,7 @@ def save_li_cache(path: str) -> int:
 
 
 def clear_caches() -> None:
-    """Empty the memos and algebra tables."""
+    """Empty the li memo, its path of inner-factor states and the algebra tables."""
     algebra.clear_caches()
     _LI_CACHE.clear()
-    _ZETA_CACHE.clear()
     _PREFIX.clear()

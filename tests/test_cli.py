@@ -374,6 +374,30 @@ class TestFailingVerify:
         assert len(err.splitlines()) == 1 and "stdout closed" in json.loads(err)["error"]
 
 
+def test_verify_expands_one_index_per_dual_pair(capsys, monkeypatch):
+    # an index whose dual verify has expanded takes that expression conjugated
+    from lsizeta import oracle
+    from lsizeta.indices import dedupe_by_duality, enumerate_admissible
+
+    full, evaluated = [], []
+    expand, evaluate = polylog.zeta_expr, oracle.eval_expr
+
+    def spy(k, half=None):
+        if half is None:
+            full.append(k)
+        return expand(k, half)
+
+    monkeypatch.setattr(polylog, "zeta_expr", spy)
+    monkeypatch.setattr(oracle, "eval_expr", lambda e: evaluated.append(e) or evaluate(e))
+    code, out, err = run(capsys, "verify", "6")
+    assert (code, err) == (0, "")
+    assert all(line.startswith("PASS ") for line in out.splitlines())
+    indices = enumerate_admissible(6)
+    assert len(full) == len(dedupe_by_duality(indices)) < len(indices)
+    # each expression checked is the index's own, the dual's conjugate included
+    assert evaluated[:len(indices)] == [expand(k) for k in indices]
+
+
 class TestProgress:
     def test_lk8_reports_each_row_and_lk7_stays_quiet(self, capsys):
         code, out, err = run(capsys, "lk", "8")
